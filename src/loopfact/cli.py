@@ -142,7 +142,9 @@ def load_subject(doc: dict):
     if kind == "params":
         params = RootParams.from_json(doc.get("params", doc))
         if params.side != "zeta":
-            params = RootParams("zeta", ()) if not params.values else params
+            if params.values:
+                raise ParseError("a params fixture must hold zeta values")
+            params = RootParams("zeta", ())
         return RootSubgroupData(
             RootParams("eta", ()), 0.0, LaurentSeries.zero(), params
         )

@@ -3,7 +3,8 @@
 The residue coefficient of the upper-triangular correction, as a function
 of the lower-family parameters, is a polynomial with nonnegative integer
 coefficients in the parameters and their conjugates.  This module
-evaluates it by a tail recursion over any commutative ring, expands it
+evaluates it by a tail recursion over any commutative ring (one truncated
+series division per parameter, O(S^3) ring products in all), expands it
 exactly with a dict-backed polynomial type (conjugates treated as
 independent letters), extracts the grouped coefficient tables, and checks
 them against an independent signed enumeration of cluster decompositions.
@@ -43,46 +44,36 @@ __all__ = [
 # --- tail recursion over a generic commutative ring -------------------
 
 
-def _compositions(total, parts, max_part):
-    """Ordered tuples of `parts` integers in 1..max_part summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = max(1, total - (parts - 1) * max_part)
-    hi = min(max_part, total - (parts - 1))
-    for first in range(lo, hi + 1):
-        for rest in _compositions(total - first, parts - 1, max_part):
-            yield (first,) + rest
-
-
 def _suffix_table(pairs):
     """Residue values of every suffix of a finite parameter sequence.
 
     pairs[k] = (value, conjugate_value); entries may be complex numbers,
     Fractions, or polynomial objects, anything supporting + and * with
     ints.  Returns {start: value of the residue on (w_start, .., w_M)}.
+
+    Row m appends (w, wb) = pairs[m-1] to the rows 1..m-1 held in cur.
+    With R(u) = sum_{j>=1} cur[m-j] u^j, every start i of the row reads
+    one coefficient of the same series,
+
+        nxt[i] = (1 + w wb) [u^(m-i)] R / (1 - wb R),
+
+    and G = R / (1 - wb R) solves g_d = r_d + wb * sum_{j<d} r_j g_{d-j}.
+    A row costs O(m^2) ring products, the whole table O(S^3).
     """
-    count = len(pairs)
     cur = {}
-    for m in range(1, count + 1):
+    for m in range(1, len(pairs) + 1):
         w, wbar = pairs[m - 1]
+        r = [None] + [cur[m - j] for j in range(1, m)]
+        g = r[:2]  # g_1 = r_1
+        for d in range(2, m):
+            conv = r[1] * g[d - 1]
+            for j in range(2, d):
+                conv = conv + r[j] * g[d - j]
+            g.append(r[d] + wbar * conv)
+        scale = 1 + w * wbar
         nxt = {m: w}
         for i in range(m - 1, 0, -1):
-            nloc = m - i
-            acc = 0
-            power = 1
-            for s in range(0, nloc):
-                total = s * (nloc + 1) + 1
-                csum = 0
-                for comp in _compositions(total, s + 1, nloc):
-                    prod = 1
-                    for part in comp:
-                        prod = prod * cur[i + part - 1]
-                    csum = csum + prod
-                acc = acc + csum * power
-                power = power * wbar
-            nxt[i] = (1 + w * wbar) * acc
+            nxt[i] = scale * g[m - i]
         cur = nxt
     return cur
 
@@ -314,24 +305,25 @@ class CoefficientTable:
     def group(self, n: int) -> dict:
         return {p: c for p, c in self.entries.items() if p.i[0] == n}
 
-    def evaluate_group(self, n: int, values, conjugates=None) -> complex:
-        """Evaluate the group-n polynomial at values[index]; conjugates
-        default to the complex conjugates of values."""
-        total = 0j
+    def evaluate_group(self, n: int, values, conjugates=None):
+        """Evaluate the group-n polynomial at values[index] over any ring
+        whose elements multiply with ints; conjugates default to
+        values[index].conjugate()."""
+        total = 0
         for pair, c in self.entries.items():
             if pair.i[0] != n:
                 continue
-            term = complex(c)
+            term = c
             for idx in pair.i[1:]:
-                term *= values.get(idx, 0j)
+                term = term * values.get(idx, 0)
             for idx in pair.j:
                 cv = (
-                    conjugates.get(idx, 0j)
+                    conjugates.get(idx, 0)
                     if conjugates is not None
-                    else complex(values.get(idx, 0j)).conjugate()
+                    else values.get(idx, 0).conjugate()
                 )
-                term *= cv
-            total += term
+                term = term * cv
+            total = total + term
         return total
 
     def to_json(self) -> str:
@@ -437,19 +429,7 @@ def certify_tables(support: int, trials: int | None = None, seed: int = 0) -> Co
             tail = Fraction(1)
             for k in range(n + 1, support + 1):
                 tail *= 1 + zs[k] * zb[k]
-            if n == 1:
-                s_val = Fraction(1)
-            else:
-                s_val = Fraction(0)
-                for pair, c in table.entries.items():
-                    if pair.i[0] != n:
-                        continue
-                    term = Fraction(c)
-                    for idx in pair.i[1:]:
-                        term *= zs[idx]
-                    for idx in pair.j:
-                        term *= zb[idx]
-                    s_val += term
+            s_val = 1 if n == 1 else table.evaluate_group(n, zs, zb)
             structured += zs[n] * tail * s_val
         if direct != structured:
             raise ConsistencyViolation(
@@ -566,36 +546,30 @@ def s_identity_check(params: RootParams, which: str) -> float:
     table = coefficient_tables(sup, weight_cap=cap)
     values = {i: complex(params.value_at(i)) for i in range(1, sup + 1)}
 
-    def s_eval(n, length=None):
-        total = 0j
-        for pair, c in table.entries.items():
-            if pair.i[0] != n or (length is not None and pair.L != length):
-                continue
-            term = complex(c)
-            for idx in pair.i[1:]:
-                term *= values.get(idx, 0j)
-            for idx in pair.j:
-                term *= values.get(idx, 0j).conjugate()
-            total += term
-        return total
+    def of_length(length):
+        return CoefficientTable(
+            {p: c for p, c in table.entries.items() if p.L == length}, sup, cap
+        )
 
     def u(i):
         return values.get(i, 0j) * values.get(i + 1, 0j).conjugate()
 
     if which == "s2":
-        return abs(s_eval(2) - (b_sum(params, 2, 1) + b_sum(params, 3, 1)))
+        claim = b_sum(params, 2, 1) + b_sum(params, 3, 1)
+        return abs(table.evaluate_group(2, values) - claim)
     if which == "s_n1":
         worst = 0.0
+        length_one = of_length(1)
         for n in range(2, sup + 1):
             claim = b_sum(params, n, n - 1) + b_sum(params, n + 1, n - 1)
-            worst = max(worst, abs(s_eval(n, length=1) - claim))
+            worst = max(worst, abs(length_one.evaluate_group(n, values) - claim))
         return worst
     if which == "s32":
         claim = b_sum(params, 3, 1) ** 2 + b_sum(params, 4, 1) ** 2
         claim += sum(u(i) ** 2 for i in range(4, sup + 1))
         claim += u(3) * u(4)
         claim += 2 * sum(u(i) * u(i + 1) for i in range(4, sup + 1))
-        return abs(s_eval(3, length=2) - claim)
+        return abs(of_length(2).evaluate_group(3, values) - claim)
     raise ValueError(f"unknown identity tag {which!r}")
 
 

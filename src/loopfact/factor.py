@@ -41,6 +41,7 @@ from .laurent import (
     LaurentSeries,
     LoopMatrix,
     apply_sigma,
+    finite_complex,
     invert_series,
     project,
     series_from_json,
@@ -389,7 +390,7 @@ class RootSubgroupData:
         try:
             return RootSubgroupData(
                 eta=RootParams.from_json(doc["eta"]),
-                chi0=complex(float(doc["chi0"][0]), float(doc["chi0"][1])),
+                chi0=finite_complex(doc["chi0"][0], doc["chi0"][1]),
                 chi=series_from_json(doc["chi"]),
                 zeta=RootParams.from_json(doc["zeta"]),
                 residual=float(doc.get("residual", 0.0)),

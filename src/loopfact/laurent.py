@@ -15,6 +15,7 @@ cleanup(f, tol) to drop small coefficients.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -418,6 +419,15 @@ def series_to_json(f: LaurentSeries) -> dict:
     return {"terms": terms}
 
 
+def finite_complex(re, im) -> complex:
+    """complex(re, im) from two JSON numbers; NaN or an infinity raises
+    ParseError so it never reaches a solver."""
+    val = complex(float(re), float(im))
+    if not cmath.isfinite(val):
+        raise ParseError(f"non-finite number {val!r}")
+    return val
+
+
 def series_from_json(doc: dict) -> LaurentSeries:
     if not isinstance(doc, dict) or "terms" not in doc:
         raise ParseError("series document must be an object with a 'terms' list")
@@ -428,7 +438,7 @@ def series_from_json(doc: dict) -> LaurentSeries:
     for t in terms:
         try:
             power = int(t["power"])
-            val = complex(float(t["re"]), float(t["im"]))
+            val = finite_complex(t["re"], t["im"])
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed series term {t!r}") from e
         acc[power] = acc.get(power, 0.0) + val

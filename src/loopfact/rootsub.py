@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ParseError
-from .laurent import LaurentSeries, LoopMatrix
+from .laurent import LaurentSeries, LoopMatrix, finite_complex
 
 __all__ = [
     "RootParams",
@@ -94,7 +94,7 @@ class RootParams:
     def from_json(doc: dict) -> "RootParams":
         try:
             side = doc["side"]
-            values = tuple(complex(float(p[0]), float(p[1])) for p in doc["values"])
+            values = tuple(finite_complex(p[0], p[1]) for p in doc["values"])
         except (KeyError, TypeError, ValueError, IndexError) as e:
             raise ParseError(f"malformed root parameter document: {e}") from e
         if side not in ("zeta", "eta"):

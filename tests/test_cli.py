@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from loopfact.cli import main
+from loopfact.factor import RootSubgroupData
 from loopfact.laurent import (
     CircleGrid,
     LaurentSeries,
@@ -207,6 +208,18 @@ def test_x_from_zeta_single_value_is_one_term(tmp_path):
     assert doc["series"]["terms"] == [{"power": 1, "re": 0.5, "im": -0.0}]
 
 
+def test_x_from_zeta_at_support_32(tmp_path):
+    values = [0.4 * 0.8**n * complex(np.cos(n), np.sin(n)) for n in range(32)]
+    src = tmp_path / "params.json"
+    out = tmp_path / "x.json"
+    write_json(src, params_doc(values))
+    assert main(["x-from-zeta", "--params", str(src), "--out", str(out)]) == 0
+    terms = read_doc(out)["series"]["terms"]
+    assert [t["power"] for t in terms] == list(range(1, 33))
+    # the last suffix is the last value alone; the series holds conjugates
+    assert (terms[-1]["re"], terms[-1]["im"]) == (values[-1].real, -values[-1].imag)
+
+
 def test_series_round_trip_through_files(tmp_path):
     values = [0.3, -0.15 + 0.1j, 0.08j, 0.02]
     src = tmp_path / "params.json"
@@ -323,6 +336,17 @@ def test_verify_does_not_abort_on_unreadable_fixture(tmp_path, capsys):
     assert entry["error"]["type"] == "ParseError"
 
 
+def test_verify_eta_params_fixture_is_a_failing_row(tmp_path, capsys):
+    write_json(tmp_path / "eta.json", params_doc([0.3], side="eta"))
+    write_json(tmp_path / "good.json", params_doc([0.5]))
+    rc = main(["verify", "--fixtures", str(tmp_path), "--trunc", "24"])
+    assert rc == 1
+    by_file = {entry["file"]: entry for entry in json.loads(capsys.readouterr().out)["files"]}
+    assert by_file["eta.json"]["pass"] is False
+    assert by_file["eta.json"]["error"]["type"] == "ParseError"
+    assert by_file["good.json"]["pass"] is True
+
+
 # --- conjecture probe -------------------------------------------------
 
 
@@ -403,3 +427,33 @@ def test_nonunitary_input_rejected_with_exit_code_two(tmp_path, capsys):
     assert main(["factor", "--loop", str(src), "--trunc", "16"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BadNormalization"
+
+
+def nonfinite_documents(bad):
+    loop_json = loop_to_json(partial_product(RootParams("zeta", (0.5,))))
+    loop_json["a"]["terms"][0]["re"] = bad
+    params = params_doc([0.5, 0.25])
+    params["params"]["values"][1][1] = bad
+    data = RootSubgroupData(
+        RootParams("eta", ()), 0.0, LaurentSeries.zero(), RootParams("zeta", (0.5,))
+    ).to_json()
+    data["chi0"] = [0.0, bad]
+    series = {"terms": [{"power": 1, "re": 0.5, "im": bad}]}
+    return [
+        (["factor", "--loop"], {"kind": "loop", "loop": loop_json}),
+        (["factor", "--mode", "triangular", "--loop"], {"kind": "loop", "loop": loop_json}),
+        (["x-from-zeta", "--params"], params),
+        (["compose", "--params"], {"kind": "data", "data": data}),
+        (["zeta-from-x", "--series"], {"kind": "series", "series": series}),
+    ]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_numbers_are_rejected_at_parse_time(tmp_path, capsys, bad):
+    for n, (command, doc) in enumerate(nonfinite_documents(bad)):
+        src = tmp_path / f"doc{n}.json"
+        write_json(src, {"schema_version": 1, **doc})
+        assert main(command + [str(src)]) == 2, command
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError", (command, err)
+        assert "non-finite" in err["message"]

@@ -1,6 +1,7 @@
 """Residue recursion, exact coefficient tables, cluster sums, identities."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from loopfact.factor import k2_triangular_from_cd
 from loopfact.combinat import (
     CoefficientTable,
     IndexPair,
+    _Poly,
+    _suffix_table,
     b_sum,
     certify_tables,
     cluster_coefficient,
@@ -36,6 +39,122 @@ def shape_pairs(max_weight):
 
 
 # --- recursion --------------------------------------------------------
+
+
+def compositions(total, parts, max_part):
+    """Ordered tuples of `parts` integers in 1..max_part summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    lo = max(1, total - (parts - 1) * max_part)
+    hi = min(max_part, total - (parts - 1))
+    for first in range(lo, hi + 1):
+        for rest in compositions(total - first, parts - 1, max_part):
+            yield (first,) + rest
+
+
+def reference_suffix_table(pairs):
+    """The suffix recursion written as a sum over integer compositions:
+    nxt[i] = (1 + w wb) sum_s wb^s sum over compositions of s(n+1)+1
+    into s+1 parts of the product of cur[i+part-1], with n = m - i.
+    Exponential in the support; an oracle for _suffix_table."""
+    cur = {}
+    for m in range(1, len(pairs) + 1):
+        w, wbar = pairs[m - 1]
+        nxt = {m: w}
+        for i in range(m - 1, 0, -1):
+            nloc = m - i
+            acc = 0
+            power = 1
+            for s in range(0, nloc):
+                csum = 0
+                for comp in compositions(s * (nloc + 1) + 1, s + 1, nloc):
+                    prod = 1
+                    for part in comp:
+                        prod = prod * cur[i + part - 1]
+                    csum = csum + prod
+                acc = acc + csum * power
+                power = power * wbar
+            nxt[i] = (1 + w * wbar) * acc
+        cur = nxt
+    return cur
+
+
+def random_fraction_pairs(rng, support):
+    def draw():
+        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+
+    return [(draw(), draw()) for _ in range(support)]
+
+
+def letter_pairs(support, cap):
+    return [
+        (_Poly.variable(i, False, cap), _Poly.variable(i, True, cap))
+        for i in range(1, support + 1)
+    ]
+
+
+def test_suffix_table_matches_composition_reference_over_fractions():
+    rng = np.random.default_rng(3)
+    for support in range(1, 10):
+        pairs = random_fraction_pairs(rng, support)
+        assert _suffix_table(pairs) == reference_suffix_table(pairs), support
+
+
+def test_suffix_table_matches_composition_reference_over_polynomials():
+    for support in range(1, 9):
+        for cap in (None, 2 * support):
+            pairs = letter_pairs(support, cap)
+            got = _suffix_table(pairs)
+            want = reference_suffix_table(pairs)
+            assert got.keys() == want.keys()
+            for start in want:
+                assert got[start].terms == want[start].terms, (support, cap, start)
+
+
+def test_suffix_table_matches_composition_reference_over_complex():
+    rng = np.random.default_rng(5)
+    for support in range(1, 15):
+        vals = rng.uniform(-0.5, 0.5, support) + 1j * rng.uniform(-0.5, 0.5, support)
+        pairs = [(complex(v), complex(v).conjugate()) for v in vals]
+        got = _suffix_table(pairs)
+        want = reference_suffix_table(pairs)
+        scale = max(abs(v) for v in want.values())
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-12 * scale, support
+
+
+class BudgetedFraction:
+    """Fraction whose products draw on a shared budget and raise once it
+    is spent, so a super-cubic recursion fails fast instead of hanging."""
+
+    def __init__(self, value, budget):
+        self.value = Fraction(value)
+        self.budget = budget
+
+    def __add__(self, other):
+        return BudgetedFraction(self.value + getattr(other, "value", other), self.budget)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        self.budget["left"] -= 1
+        if self.budget["left"] < 0:
+            raise OverflowError("ring product budget exhausted")
+        return BudgetedFraction(self.value * getattr(other, "value", other), self.budget)
+
+    __rmul__ = __mul__
+
+
+def test_suffix_table_takes_at_most_cubic_products():
+    support = 24
+    pairs = random_fraction_pairs(np.random.default_rng(11), support)
+    budget = {"left": support**3}
+    counted = _suffix_table(
+        [(BudgetedFraction(w, budget), BudgetedFraction(wb, budget)) for w, wb in pairs]
+    )
+    assert {k: v.value for k, v in counted.items()} == _suffix_table(pairs)
 
 
 def test_recursion_closed_forms():
@@ -88,6 +207,20 @@ def test_support_four_table_frozen():
         IndexPair((3, 3, 3), (4, 4)): 1,
     }
     assert t.entries == expected
+
+
+def test_evaluate_group_is_exact_over_fractions():
+    t = coefficient_tables(4, weight_cap=None)
+    zs = {2: Fraction(1, 2), 3: Fraction(1, 3), 4: Fraction(1, 5)}
+    zb = {3: Fraction(2, 7), 4: Fraction(-1, 3)}
+    # group 2 is z2 zb3 + 2 z3 zb4
+    got = t.evaluate_group(2, zs, zb)
+    assert isinstance(got, Fraction)
+    assert got == Fraction(1, 2) * Fraction(2, 7) + 2 * Fraction(1, 3) * Fraction(-1, 3)
+    vals = {2: 0.5 + 0.1j, 3: -0.2j, 4: 0.3}
+    want = vals[2] * vals[3].conjugate() + 2 * vals[3] * vals[4].conjugate()
+    assert abs(t.evaluate_group(2, vals) - want) < 1e-15
+    assert t.evaluate_group(7, vals) == 0
 
 
 def test_certified_tables_and_positivity():
