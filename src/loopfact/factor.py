@@ -14,6 +14,10 @@ Provided here:
   * rootsub_factorize: the full inverse map from a loop to the parameters
   * reconstruct_lu: missing triangular entries from the four determining ones
   * verify_identities: the determinant and compression identities as a report
+
+Peeling works on a 4 x W coefficient array: each step is a shift and one
+axpy per column pair, O(W) for a window of W powers, so peeling n_max
+indices costs O(n_max (deg + n_max)) for a loop of degree deg.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .laurent import (
     apply_sigma,
     finite_complex,
     invert_series,
+    max_norm,
     project,
     series_from_json,
     series_to_json,
@@ -50,8 +55,16 @@ from .laurent import (
     truncate,
     unitarity_defect,
 )
-from .rootsub import RootParams, elementary_factor, partial_product
-from .toeplitz import compress, direct_shifted, det_AstarA, scalar_compress, triangular
+from .rootsub import RootParams, a_factor, partial_product
+from .toeplitz import (
+    coefficient_table,
+    compress,
+    det_AstarA,
+    direct_shifted,
+    gather,
+    scalar_compress,
+    triangular,
+)
 
 __all__ = [
     "exp_series",
@@ -75,10 +88,6 @@ __all__ = [
 # --- exponentials -----------------------------------------------------
 
 
-def _grid_for_width(width: int) -> CircleGrid:
-    return CircleGrid(1 << max(8, int(width).bit_length()))
-
-
 def exp_series(f: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
     """Coefficients of exp(f) for powers lo..hi.
 
@@ -89,7 +98,7 @@ def exp_series(f: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
     if lo > hi:
         raise ValueError("empty window")
     deg = 0 if f.is_zero else max(abs(f.min_power), abs(f.max_power))
-    grid = _grid_for_width(2 * (hi - lo + 1) + 8 * deg + 64)
+    grid = CircleGrid.for_width(2 * (hi - lo + 1) + 8 * deg + 64)
     vals = np.exp(f.evaluate(grid.points))
     return grid.analyze(vals, lo, hi)
 
@@ -196,16 +205,14 @@ def x_leastsquares(
     if N < 1:
         raise ValueError("N must be at least 1")
     p_lo = -max(c.max_power if not c.is_zero else 1, d.max_power if not d.is_zero else 1, N)
-    rows_p = range(p_lo, 0)
-    A = np.zeros((2 * len(rows_p), N), dtype=complex)
-    b = np.zeros(2 * len(rows_p), dtype=complex)
-    cstar, dstar = star(c), star(d)
-    for r, p in enumerate(rows_p):
-        for q in range(1, N + 1):
-            A[2 * r, q - 1] = c.coeff(p + q)
-            A[2 * r + 1, q - 1] = d.coeff(p + q)
-        b[2 * r] = dstar.coeff(p)
-        b[2 * r + 1] = -cstar.coeff(p)
+    rows_p = np.arange(p_lo, 0)
+    cols_q = -np.arange(1, N + 1)
+    # rows 2r and 2r + 1 hold the two conditions at power rows_p[r]; column
+    # q - 1 multiplies x*_{-q}, which meets the coefficients of power p + q
+    A = np.empty((2 * rows_p.size, N), dtype=complex)
+    A[0::2] = gather((c,), rows_p, cols_q)
+    A[1::2] = gather((d,), rows_p, cols_q)
+    b = coefficient_table((star(d), -1.0 * star(c)), p_lo, -1).reshape(-1)
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=tol)
     if rank < N:
         raise RankDeficient(f"annihilation system has rank {rank} < {N}")
@@ -287,15 +294,6 @@ def k2_from_x(x: LaurentSeries, N: int, tol: float = 1e-8) -> tuple[LoopMatrix, 
 # --- peeling ----------------------------------------------------------
 
 
-def _identity_defect(g: LoopMatrix) -> float:
-    return max(
-        (g.a - LaurentSeries.one()).coefficient_max(),
-        g.b.coefficient_max(),
-        g.c.coefficient_max(),
-        (g.d - LaurentSeries.one()).coefficient_max(),
-    )
-
-
 def zeta_from_loop(
     k2: LoopMatrix, n_max: int, tol: float = 1e-9, form_tol: float = 1e-6
 ) -> RootParams:
@@ -307,6 +305,14 @@ def zeta_from_loop(
     factor removes that index.  For an exact finite product the remainder is
     the identity after the last step; PeelDivergence reports a remainder that
     stays far from the identity.
+
+    The remainder is a 4 x W array (rows a, b, c, d).  With a = a(zeta_n)
+    the inverse factor is a [[1, -zeta_n z^-n], [conj(zeta_n) z^n, 1]], so a
+    step scales columns (a, c) and (b, d) by a and adds to each the other
+    shifted by n.
+    Column (a, c) never reaches below the loop's lowest power and (b, d)
+    reaches at most n_max below it (mirrored at the top), so the window
+    widened by n_max on each side holds every coefficient: none is dropped.
     """
     form_defect = max(
         (k2.a - star(k2.d)).coefficient_max(), (k2.b + star(k2.c)).coefficient_max()
@@ -314,16 +320,29 @@ def zeta_from_loop(
     if form_defect > form_tol:
         raise BadNormalization(f"loop is not in lower-family form ({form_defect:.3e})")
     _check_k2_entries(k2.c, k2.d, form_tol)
-    remainder = k2
+    lo = -k2.max_degree() - n_max  # column j holds power lo + j
+    rem = np.zeros((4, 1 - 2 * lo), dtype=complex)
+    for row, f in zip(rem, k2.entries()):
+        row[f.min_power - lo : f.max_power - lo + 1] = f.coefficients
+    left, right = rem[0::2], rem[1::2]  # views: columns (a, c) and (b, d)
     values = []
     for n in range(1, n_max + 1):
-        d0 = remainder.d.coeff(0)
+        d0 = complex(rem[3, -lo])
         if abs(d0) < 0.1:
             raise PeelDivergence(f"diagonal constant collapsed to {abs(d0):.3e} at step {n}")
-        zeta_n = -(remainder.c.coeff(n) / d0).conjugate()
+        zeta_n = -(complex(rem[2, n - lo]) / d0).conjugate()
         values.append(zeta_n)
-        remainder = remainder @ elementary_factor("zeta", n, zeta_n).adjoint()
-    terminal = _identity_defect(remainder)
+        a = complex(a_factor(zeta_n))
+        into_left = (a * zeta_n).conjugate()
+        into_right = (a * -zeta_n.conjugate()).conjugate()
+        new_left = a * left
+        new_left[:, n:] += into_left * right[:, :-n]
+        right *= a
+        right[:, :-n] += into_right * left[:, n:]
+        left[:] = new_left
+    rem[0, -lo] -= 1.0
+    rem[3, -lo] -= 1.0
+    terminal = float(np.abs(rem).max())
     if not np.isfinite(terminal) or terminal > max(1e3 * tol, 1e-6):
         raise PeelDivergence(
             f"remainder stays {terminal:.3e} away from the identity after {n_max} steps"
@@ -513,7 +532,7 @@ def rootsub_factorize(
     gdeg = g.max_degree()
     need = 2 * (N + gdeg) + 2
     if grid is None or grid.point_count < need:
-        grid = _grid_for_width(need)
+        grid = CircleGrid.for_width(need)
     defect = unitarity_defect(g, grid)
     if defect > max(tol, 1e-10):
         raise BadNormalization(f"loop is not unitary on the grid ({defect:.3e})")
@@ -564,8 +583,7 @@ def rootsub_factorize(
     mid[:, 0, 0] = lam_vals
     mid[:, 1, 1] = 1.0 / lam_vals
     rec = np.conj(np.swapaxes(k1.evaluate(pts), -1, -2)) @ mid @ k2.evaluate(pts)
-    diff = g.evaluate(pts) - rec
-    residual = float(np.linalg.svd(diff, compute_uv=False)[..., 0].max())
+    residual = max_norm(g.evaluate(pts) - rec)
     return RootSubgroupData(eta, chi0, chi, zeta, residual, consistency)
 
 
@@ -603,7 +621,7 @@ def reconstruct_lu(
         order = indeg + 16
     need = 2 * (order + indeg) + 2
     if grid is None or grid.point_count < need:
-        grid = _grid_for_width(need)
+        grid = CircleGrid.for_width(need)
     pts = grid.points
     l11v = l11.evaluate(pts)
     l21v = l21.evaluate(pts)

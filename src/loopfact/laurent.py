@@ -4,20 +4,24 @@ Contents:
   LaurentSeries  -- immutable series sum_n c_n z^n with finitely many terms
   LoopMatrix     -- 2x2 matrix of LaurentSeries, entries named a, b, c, d
   CircleGrid     -- uniform grid on |z| = 1 with FFT analysis/synthesis
-  star, project, mul, invert_series, apply_sigma, unitarity_defect
+  star, project, invert_series, apply_sigma, unitarity_defect, max_norm
   JSON (de)serialization for series and loops
 
 Coefficients are stored as a contiguous block from min_power upward; exact
 zeros at the ends are trimmed on construction so equality of values implies
 equality of representations.  Numerical cleanup is never implicit: use
 cleanup(f, tol) to drop small coefficients.
+
+Arithmetic runs in numpy on the coefficient block.  For series with n and m
+coefficients: a sum costs O(n + m), a product one np.convolve, O(n m);
+evaluation at P points is one np.polyval pass, O(n P); invert_series to
+order K costs K dot products of length <= deg d, O(K deg d).
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +33,6 @@ __all__ = [
     "CircleGrid",
     "star",
     "project",
-    "mul",
     "invert_series",
     "apply_sigma",
     "unitarity_defect",
@@ -42,17 +45,14 @@ __all__ = [
 ]
 
 
-def _trim(min_power: int, coeffs: list[complex]) -> tuple[int, tuple[complex, ...]]:
+def _trim(min_power: int, coeffs) -> tuple[int, tuple[complex, ...]]:
     # drop exact zeros at both ends; canonical zero is (0, ())
-    lo = 0
-    hi = len(coeffs)
-    while lo < hi and coeffs[lo] == 0:
-        lo += 1
-    while hi > lo and coeffs[hi - 1] == 0:
-        hi -= 1
-    if lo == hi:
+    arr = np.asarray(coeffs, dtype=complex)
+    nonzero = np.flatnonzero(arr)
+    if nonzero.size == 0:
         return 0, ()
-    return min_power + lo, tuple(complex(c) for c in coeffs[lo:hi])
+    lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+    return min_power + lo, tuple(arr[lo:hi].tolist())
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class LaurentSeries:
     coefficients: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        mp, cs = _trim(self.min_power, list(self.coefficients))
+        mp, cs = _trim(self.min_power, self.coefficients)
         object.__setattr__(self, "min_power", mp)
         object.__setattr__(self, "coefficients", cs)
 
@@ -117,12 +117,17 @@ class LaurentSeries:
             if c != 0
         }
 
+    @property
+    def array(self) -> np.ndarray:
+        """The coefficient block as a new complex ndarray."""
+        return np.array(self.coefficients, dtype=complex)
+
     def coefficient_norm(self) -> float:
         """l2 norm of the coefficient sequence."""
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.coefficients)))
+        return float(np.linalg.norm(self.array))
 
     def coefficient_max(self) -> float:
-        return max((abs(c) for c in self.coefficients), default=0.0)
+        return float(np.abs(self.array).max()) if self.coefficients else 0.0
 
     # --- arithmetic ---------------------------------------------------
 
@@ -133,11 +138,14 @@ class LaurentSeries:
             return self
         lo = min(self.min_power, other.min_power)
         hi = max(self.max_power, other.max_power)
-        coeffs = [self.coeff(n) + other.coeff(n) for n in range(lo, hi + 1)]
-        return LaurentSeries(lo, tuple(coeffs))
+        buf = np.zeros(hi - lo + 1, dtype=complex)
+        for f in (self, other):
+            start = f.min_power - lo
+            buf[start : start + len(f.coefficients)] += f.coefficients
+        return LaurentSeries(lo, buf)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_power, tuple(-c for c in self.coefficients))
+        return LaurentSeries(self.min_power, -self.array)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -146,18 +154,10 @@ class LaurentSeries:
         if isinstance(other, LaurentSeries):
             if self.is_zero or other.is_zero:
                 return LaurentSeries.zero()
-            n = len(self.coefficients)
-            m = len(other.coefficients)
-            out = [0.0 + 0.0j] * (n + m - 1)
-            for i, ci in enumerate(self.coefficients):
-                if ci == 0:
-                    continue
-                for j, cj in enumerate(other.coefficients):
-                    out[i + j] += ci * cj
-            return LaurentSeries(self.min_power + other.min_power, tuple(out))
-        return LaurentSeries(
-            self.min_power, tuple(complex(other) * c for c in self.coefficients)
-        )
+            return LaurentSeries(
+                self.min_power + other.min_power, np.convolve(self.array, other.array)
+            )
+        return LaurentSeries(self.min_power, complex(other) * self.array)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -170,24 +170,15 @@ class LaurentSeries:
 
     def conjugate_coefficients(self) -> "LaurentSeries":
         """Conjugate each coefficient without moving powers (not the star)."""
-        return LaurentSeries(
-            self.min_power, tuple(c.conjugate() for c in self.coefficients)
-        )
+        return LaurentSeries(self.min_power, self.array.conj())
 
     # --- evaluation ---------------------------------------------------
 
     def evaluate(self, z):
-        """Evaluate at points z (scalar or ndarray) by Horner on z and 1/z."""
+        """Evaluate at points z (scalar or ndarray): Horner from the top
+        power by np.polyval, then one factor z^min_power."""
         z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        # positive/zero powers via Horner from the top
-        top = self.max_power
-        if not self.is_zero:
-            for n in range(top, self.min_power - 1, -1):
-                out = out * z + self.coeff(n)
-            if self.min_power != 0:
-                out = out * z ** float(self.min_power)
-        return out
+        return np.polyval(self.array[::-1], z) * z ** float(self.min_power)
 
 
 @dataclass(frozen=True)
@@ -275,8 +266,7 @@ def star(f: LaurentSeries) -> LaurentSeries:
     """Adjoint symbol f*(z) = sum_n conj(c_n) z^{-n} (equals conj(f) on |z|=1)."""
     if f.is_zero:
         return f
-    coeffs = tuple(c.conjugate() for c in reversed(f.coefficients))
-    return LaurentSeries(-f.max_power, coeffs)
+    return LaurentSeries(-f.max_power, f.array[::-1].conj())
 
 
 def project(f: LaurentSeries, half: str) -> LaurentSeries:
@@ -306,13 +296,7 @@ def truncate(f: LaurentSeries, lo: int | None, hi: int | None) -> LaurentSeries:
 
 def cleanup(f: LaurentSeries, tol: float) -> LaurentSeries:
     """Drop coefficients with |c| <= tol.  Explicit, never done implicitly."""
-    coeffs = tuple(0.0 if abs(c) <= tol else c for c in f.coefficients)
-    return LaurentSeries(f.min_power, coeffs)
-
-
-def mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    """Product by exact coefficient convolution."""
-    return f * g
+    return LaurentSeries(f.min_power, np.where(np.abs(f.array) <= tol, 0.0, f.array))
 
 
 def invert_series(d: LaurentSeries, order: int) -> LaurentSeries:
@@ -335,15 +319,15 @@ def invert_series(d: LaurentSeries, order: int) -> LaurentSeries:
     d0 = d.coeff(0)
     if d0 == 0:
         raise ZeroConstantTerm("series has zero constant term")
-    inv = [0.0 + 0.0j] * (order + 1)
+    # d has powers 0..deg here; tail[j] = d_{j+1}
+    tail = d.array[1:]
+    inv = np.zeros(order + 1, dtype=complex)
     inv[0] = 1.0 / d0
     # standard recursion: (d * inv)_n = 0 for n >= 1
     for n in range(1, order + 1):
-        acc = 0.0 + 0.0j
-        for k in range(1, min(n, d.max_power if not d.is_zero else 0) + 1):
-            acc += d.coeff(k) * inv[n - k]
-        inv[n] = -acc / d0
-    return LaurentSeries(0, tuple(inv))
+        k = min(n, tail.size)
+        inv[n] = -np.dot(tail[:k], inv[n - 1 :: -1][:k]) / d0
+    return LaurentSeries(0, inv)
 
 
 def apply_sigma(g: LoopMatrix) -> LoopMatrix:
@@ -369,6 +353,12 @@ class CircleGrid:
         if self.point_count < 1:
             raise ValueError("point_count must be positive")
 
+    @staticmethod
+    def for_width(width: int) -> "CircleGrid":
+        """The grid sizing rule: the least power of two above width, and at
+        least 256 points."""
+        return CircleGrid(1 << max(8, int(width).bit_length()))
+
     @property
     def points(self) -> np.ndarray:
         k = np.arange(self.point_count)
@@ -380,8 +370,8 @@ class CircleGrid:
         if not f.is_zero and len(f.coefficients) > p:
             raise ValueError("series support exceeds grid resolution")
         spec = np.zeros(p, dtype=complex)
-        for n, c in f.as_dict().items():
-            spec[n % p] += c
+        # the powers of f are distinct mod p because its block fits in p
+        spec[np.arange(f.min_power, f.max_power + 1) % p] = f.coefficients
         return np.fft.ifft(spec) * p
 
     def analyze(self, values: np.ndarray, min_power: int, max_power: int) -> LaurentSeries:
@@ -392,8 +382,15 @@ class CircleGrid:
         if max_power - min_power + 1 > self.point_count:
             raise ValueError("requested window exceeds grid resolution")
         spec = np.fft.fft(np.asarray(values, dtype=complex)) / self.point_count
-        coeffs = [spec[n % self.point_count] for n in range(min_power, max_power + 1)]
-        return LaurentSeries(min_power, tuple(coeffs))
+        return LaurentSeries(
+            min_power, spec[np.arange(min_power, max_power + 1) % self.point_count]
+        )
+
+
+def max_norm(values: np.ndarray) -> float:
+    """Largest spectral norm in a stack of 2x2 matrices, e.g. a loop's
+    values over a grid: max_k ||values[k]||_2."""
+    return float(np.linalg.svd(values, compute_uv=False)[..., 0].max())
 
 
 def unitarity_defect(g: LoopMatrix, grid: CircleGrid | None = None) -> float:
@@ -404,8 +401,7 @@ def unitarity_defect(g: LoopMatrix, grid: CircleGrid | None = None) -> float:
     gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
     gram[..., 0, 0] -= 1.0
     gram[..., 1, 1] -= 1.0
-    s = np.linalg.svd(gram, compute_uv=False)
-    return float(s[..., 0].max())
+    return max_norm(gram)
 
 
 # --- JSON -------------------------------------------------------------

@@ -7,6 +7,11 @@ so the compression of multiplication by g has 2x2 blocks g_{j-k}.  On top of
 the compressions this module provides determinant magnitudes, the Birkhoff
 (Riemann-Hilbert) factorization by linear solve, its triangular refinement,
 and winding numbers with a numerical index cross-check.
+
+Every corner is one gather: a dense table of the entries' coefficients,
+indexed by p - q for row power p and column power q.  Building a corner
+with R x C blocks costs O(R C) memory moves; the Birkhoff solve and its
+rcond SVD then cost O(N^3) at truncation N.
 """
 
 from __future__ import annotations
@@ -22,13 +27,13 @@ from .laurent import (
     LoopMatrix,
     apply_sigma,
     invert_series,
+    max_norm,
     star,
     truncate,
 )
 
 __all__ = [
     "ToeplitzTruncation",
-    "fourier_block",
     "compress",
     "scalar_compress",
     "direct_shifted",
@@ -44,14 +49,6 @@ __all__ = [
 _KINDS = ("toeplitz", "shifted", "hankel_B", "hankel_C")
 
 
-def fourier_block(g: LoopMatrix, n: int) -> np.ndarray:
-    """2x2 matrix of z^n coefficients of the entries of g."""
-    return np.array(
-        [[g.a.coeff(n), g.b.coeff(n)], [g.c.coeff(n), g.d.coeff(n)]],
-        dtype=complex,
-    )
-
-
 @dataclass(frozen=True)
 class ToeplitzTruncation:
     """A finite compression; matrix is 2(N+1) x 2(N+1), kind names the corner."""
@@ -61,17 +58,38 @@ class ToeplitzTruncation:
     kind: str
 
 
-def _block_matrix(g: LoopMatrix, row_powers, col_powers) -> np.ndarray:
-    n_r, n_c = len(row_powers), len(col_powers)
-    out = np.zeros((2 * n_r, 2 * n_c), dtype=complex)
-    blocks = {}
-    for r, p in enumerate(row_powers):
-        for c, q in enumerate(col_powers):
-            k = p - q
-            if k not in blocks:
-                blocks[k] = fourier_block(g, k)
-            out[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = blocks[k]
+def coefficient_table(entries, lo: int, hi: int) -> np.ndarray:
+    """table[k - lo, i] is the z^k coefficient of entries[i], lo <= k <= hi."""
+    table = np.zeros((hi - lo + 1, len(entries)), dtype=complex)
+    for i, f in enumerate(entries):
+        start, stop = max(f.min_power, lo), min(f.max_power, hi)
+        if start <= stop:
+            table[start - lo : stop - lo + 1, i] = f.array[
+                start - f.min_power : stop - f.min_power + 1
+            ]
+    return table
+
+
+def gather(entries, row_powers, col_powers) -> np.ndarray:
+    """Matrix whose block (row p, col q) holds the z^(p-q) coefficients of
+    entries: a scalar for one series, the 2x2 block [[a, b], [c, d]] for
+    the four entries of a loop."""
+    index = np.asarray(row_powers)[:, None] - np.asarray(col_powers)[None, :]
+    lo = int(index.min())
+    table = coefficient_table(entries, lo, int(index.max()))
+    index -= lo
+    size = 2 if len(entries) == 4 else 1
+    out = np.empty((size * index.shape[0], size * index.shape[1]), dtype=complex)
+    for k in range(len(entries)):
+        out[k // size :: size, k % size :: size] = table[index, k]
     return out
+
+
+def _corner(kind: str, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column powers of a corner: 0..N, or -1..-(N+1) on the minus side."""
+    plus = np.arange(N + 1)
+    minus = -plus - 1
+    return {"hankel_B": (plus, minus), "hankel_C": (minus, plus)}.get(kind, (plus, plus))
 
 
 def compress(g: LoopMatrix, N: int, kind: str = "toeplitz") -> ToeplitzTruncation:
@@ -86,36 +104,16 @@ def compress(g: LoopMatrix, N: int, kind: str = "toeplitz") -> ToeplitzTruncatio
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    plus = range(N + 1)
-    minus = [-(q + 1) for q in range(N + 1)]
-    if kind == "toeplitz":
-        m = _block_matrix(g, plus, plus)
-    elif kind == "shifted":
-        m = _block_matrix(apply_sigma(g), plus, plus)
-    elif kind == "hankel_B":
-        m = _block_matrix(g, plus, minus)
-    else:
-        m = _block_matrix(g, minus, plus)
-    return ToeplitzTruncation(m, N + 1, kind)
+    if kind == "shifted":
+        g = apply_sigma(g)
+    return ToeplitzTruncation(gather(g.entries(), *_corner(kind, N)), N + 1, kind)
 
 
 def scalar_compress(f: LaurentSeries, N: int, kind: str = "toeplitz") -> np.ndarray:
     """Scalar analogue of compress for a single Laurent series."""
-    if kind == "toeplitz":
-        rows = cols = list(range(N + 1))
-    elif kind == "hankel_B":
-        rows = list(range(N + 1))
-        cols = [-(q + 1) for q in range(N + 1)]
-    elif kind == "hankel_C":
-        rows = [-(q + 1) for q in range(N + 1)]
-        cols = list(range(N + 1))
-    else:
+    if kind not in ("toeplitz", "hankel_B", "hankel_C"):
         raise ValueError(f"unsupported scalar kind {kind!r}")
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
-    for r, p in enumerate(rows):
-        for c, q in enumerate(cols):
-            out[r, c] = f.coeff(p - q)
-    return out
+    return gather((f,), *_corner(kind, N))
 
 
 def direct_shifted(g: LoopMatrix, N: int) -> np.ndarray:
@@ -126,15 +124,13 @@ def direct_shifted(g: LoopMatrix, N: int) -> np.ndarray:
     components and powers; entry (row, col) = (g_{p_row - p_col})_{i_row, i_col}.
     Used only to validate that compress(..., "shifted") is this operator.
     """
-    basis = []
-    for k in range(N + 1):
-        basis.append((1, k + 1))  # component index 1 means e_2
-        basis.append((0, k))
-    out = np.zeros((2 * (N + 1), 2 * (N + 1)), dtype=complex)
-    for r, (ir, pr) in enumerate(basis):
-        for c, (ic, pc) in enumerate(basis):
-            out[r, c] = fourier_block(g, pr - pc)[ir, ic]
-    return out
+    # basis vector 2k is w(e_1 z^k) = e_2 z^(k+1), 2k+1 is w(e_2 z^k) = e_1 z^k
+    component = np.tile([1, 0], N + 1)
+    power = np.repeat(np.arange(N + 1), 2) + component
+    offset = power[:, None] - power[None, :]
+    lo = int(offset.min())
+    table = coefficient_table(g.entries(), lo, int(offset.max()))
+    return table[offset - lo, 2 * component[:, None] + component[None, :]]
 
 
 def det_AstarA(g: LoopMatrix, N: int) -> float:
@@ -157,11 +153,6 @@ class BirkhoffFactors:
     minus_spill: float
 
 
-def _residual_grid(degree_hint: int) -> CircleGrid:
-    width = 2 * degree_hint + 2
-    return CircleGrid(1 << max(6, int(width).bit_length()))
-
-
 def _product_defect(g: LoopMatrix, factors: list, grid: CircleGrid) -> float:
     """max_k ||g(z_k) - prod factors(z_k)||_2; factors are loops or constants."""
     acc = None
@@ -172,8 +163,7 @@ def _product_defect(g: LoopMatrix, factors: list, grid: CircleGrid) -> float:
             else f.evaluate(grid.points)
         )
         acc = vals.copy() if acc is None else acc @ vals
-    diff = g.evaluate(grid.points) - acc
-    return float(np.linalg.svd(diff, compute_uv=False)[..., 0].max())
+    return max_norm(g.evaluate(grid.points) - acc)
 
 
 def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
@@ -227,7 +217,7 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
     )
     g_minus = raw_minus.truncate(-(g.max_degree() + N), 0)
 
-    grid = _residual_grid(N + g.max_degree())
+    grid = CircleGrid.for_width(2 * (N + g.max_degree()) + 2)
     residual = _product_defect(g, [g_minus, g_zero, g_plus], grid)
     return BirkhoffFactors(g_minus, g_zero, g_plus, residual, rcond, spill)
 
@@ -270,7 +260,7 @@ def triangular(g: LoopMatrix, N: int, tol: float = 1e-10) -> TriangularFactors:
     m_zero = alpha / abs(alpha)
     a_zero = float(abs(alpha))
     middle = np.array([[alpha, 0.0], [0.0, 1.0 / alpha]], dtype=complex)
-    grid = _residual_grid(N + g.max_degree())
+    grid = CircleGrid.for_width(2 * (N + g.max_degree()) + 2)
     residual = _product_defect(g, [l, middle, u], grid)
     return TriangularFactors(l, complex(m_zero), a_zero, u, residual)
 
@@ -314,10 +304,6 @@ def toeplitz_index(f: LaurentSeries, N: int) -> int:
     index = dim ker T(f) - dim ker T(f*).
     """
     band = max(abs(f.min_power), abs(f.max_power), 1) if not f.is_zero else 1
-    rows = range(N + band + 1)
-    cols = range(N + 1)
-
-    def tall(sym: LaurentSeries) -> np.ndarray:
-        return np.array([[sym.coeff(p - q) for q in cols] for p in rows], dtype=complex)
-
-    return _kernel_dim(tall(f)) - _kernel_dim(tall(star(f)))
+    rows = np.arange(N + band + 1)
+    cols = np.arange(N + 1)
+    return _kernel_dim(gather((f,), rows, cols)) - _kernel_dim(gather((star(f),), rows, cols))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopfact.errors import (
     BadNormalization,
@@ -35,6 +37,8 @@ from loopfact.factor import (
     x_leastsquares,
     zeta_from_loop,
 )
+
+import oracles
 
 
 def generic_data(seed=0, eta_support=2, zeta_support=2, chi_terms=2):
@@ -194,6 +198,39 @@ def test_peeling_rejects_wrong_form_and_diverges_on_fake_input():
     fake = LoopMatrix(star(d), -1.0 * star(c), c, d)
     with pytest.raises(PeelDivergence):
         zeta_from_loop(fake, 6)
+
+
+parameter = st.builds(
+    lambda r, t: 0.5 * r * np.exp(2j * np.pi * t), st.floats(0, 1), st.floats(0, 1)
+)
+
+
+@given(st.lists(parameter, min_size=1, max_size=8), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_vectorised_peel_matches_dense_product_peel(values, extra):
+    support = len(values)
+    k2 = partial_product(RootParams("zeta", tuple(values)))
+    got = zeta_from_loop(k2, support + extra)
+    want = oracles.peel_zeta(k2, support + extra)
+    assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= 1e-12
+    k1 = partial_product(RootParams("eta", tuple(values)))
+    got = eta_from_loop(k1, support - 1 + extra)
+    want = oracles.peel_eta(k1, support - 1 + extra)
+    assert len(got.values) == len(want.values) == support + extra
+    assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= 1e-12
+
+
+def test_peeling_diverges_on_a_perturbed_product():
+    # lower-family form and normalization hold, but a z^6 term in c that no
+    # product of indices 1..3 can carry survives the peel
+    k2 = partial_product(RootParams("zeta", (0.3, -0.2j, 0.1)))
+    c = k2.c + LaurentSeries.monomial(6, 1e-4)
+    perturbed = LoopMatrix(k2.a, -1.0 * star(c), c, k2.d)
+    assert zeta_from_loop(k2, 3).values
+    with pytest.raises(PeelDivergence):
+        zeta_from_loop(perturbed, 3)
+    with pytest.raises(PeelDivergence):
+        oracles.peel_zeta(perturbed, 3)
 
 
 # --- composition and closed-form factors ------------------------------

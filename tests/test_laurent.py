@@ -13,7 +13,6 @@ from loopfact.laurent import (
     apply_sigma,
     cleanup,
     invert_series,
-    mul,
     project,
     series_from_json,
     series_to_json,
@@ -21,6 +20,8 @@ from loopfact.laurent import (
     truncate,
     unitarity_defect,
 )
+
+import oracles
 
 # independent oracle: evaluate by direct power sums, no package code involved
 
@@ -61,7 +62,7 @@ def test_mul_against_pointwise_oracle():
         tg = {int(n): complex(*rng.normal(size=2)) for n in rng.integers(-5, 6, size=4)}
         f = LaurentSeries.from_dict(tf)
         g = LaurentSeries.from_dict(tg)
-        h = mul(f, g)
+        h = f * g
         for theta in np.linspace(0.1, 2 * np.pi, 9):
             z = np.exp(1j * theta)
             want = eval_direct(tf, z) * eval_direct(tg, z)
@@ -93,10 +94,30 @@ def test_projections_split_identity(f):
 @given(series_strategy, series_strategy)
 @settings(max_examples=40)
 def test_star_antimultiplicative_on_products(f, g):
-    lhs = star(mul(f, g))
-    rhs = mul(star(f), star(g))
+    lhs = star(f * g)
+    rhs = star(f) * star(g)
     diff = lhs - rhs
     assert diff.coefficient_max() < 1e-9
+
+
+@given(series_strategy, series_strategy)
+@settings(max_examples=80)
+def test_series_kernels_match_python_oracles(f, g):
+    scale = (1.0 + f.coefficient_max()) * (1.0 + g.coefficient_max())
+    assert ((f * g) - oracles.convolve(f, g)).coefficient_max() <= 1e-12 * scale
+    assert ((f + g) - oracles.add(f, g)).coefficient_max() <= 1e-12 * scale
+    z = np.array([np.exp(1j * t) * r for t, r in ((0.3, 1.0), (2.1, 0.8), (4.4, 1.25))])
+    magnitude = oracles.horner(LaurentSeries(f.min_power, np.abs(f.array)), np.abs(z))
+    assert np.all(np.abs(f.evaluate(z) - oracles.horner(f, z)) <= 1e-12 * (1.0 + magnitude))
+
+
+@given(st.lists(small_complex, max_size=6), st.integers(0, 30))
+@settings(max_examples=60)
+def test_invert_series_matches_scalar_recursion(tail, order):
+    d = LaurentSeries(0, (2.5 + 0.5j, *tail))
+    want = oracles.invert_series(d, order)
+    scale = 1.0 + want.coefficient_max()
+    assert (invert_series(d, order) - want).coefficient_max() <= 1e-12 * scale
 
 
 def test_invert_series_matches_pointwise():
@@ -105,7 +126,7 @@ def test_invert_series_matches_pointwise():
     z = np.exp(0.9j) * 1.0
     # truncation error is tiny because the inverse coefficients decay fast
     assert abs(inv.evaluate(z) - 1.0 / d.evaluate(z)) < 1e-10
-    prod = mul(d, inv)
+    prod = d * inv
     assert abs(prod.coeff(0) - 1.0) < 1e-14
     for n in range(1, 38):
         assert abs(prod.coeff(n)) < 1e-14

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopfact.errors import NotInvertible, ShiftedNotInvertible, VanishingSymbol
 from loopfact.laurent import CircleGrid, LaurentSeries, LoopMatrix, star
@@ -11,12 +13,14 @@ from loopfact.toeplitz import (
     compress,
     det_AstarA,
     direct_shifted,
-    fourier_block,
     scalar_compress,
     toeplitz_index,
     triangular,
     winding_number,
 )
+
+import oracles
+from oracles import fourier_block
 
 # frozen: prod (1+|zeta_n|^2)^(-n) for zeta = (0.3, 0.2) is 1/(1.09 * 1.04^2)
 DET_PIN = 0.8482167091906721
@@ -56,6 +60,29 @@ def test_hankel_corners_layout():
     f = LaurentSeries.from_dict({-2: 1.0, 1: 2.0})
     sb = scalar_compress(f, 2, "hankel_B")
     assert sb[0, 0] == f.coeff(1) and sb[1, 1] == f.coeff(0)
+
+
+coefficient = st.builds(
+    complex,
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False),
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False),
+)
+# entries start at powers -5..0 and reach up to +8, so corners see both signs
+entry = st.builds(LaurentSeries, st.integers(-5, 0), st.lists(coefficient, max_size=9).map(tuple))
+
+
+@given(st.tuples(entry, entry, entry, entry), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_gathered_corners_match_block_builder(entries, N):
+    g = LoopMatrix(*entries)
+    # a gather only copies coefficients, so the match is exact
+    for kind in ("toeplitz", "shifted", "hankel_B", "hankel_C"):
+        assert np.array_equal(compress(g, N, kind).matrix, oracles.compress(g, N, kind))
+    zero = LaurentSeries.zero()
+    scalar = LoopMatrix(g.a, zero, zero, zero)
+    for kind in ("toeplitz", "hankel_B", "hankel_C"):
+        want = oracles.compress(scalar, N, kind)[0::2, 0::2]
+        assert np.array_equal(scalar_compress(g.a, N, kind), want)
 
 
 def test_det_magnitude_matches_zeta_product():
