@@ -9,6 +9,7 @@ fixed seed and configuration give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -368,8 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on first use and kept: parsing leaves it
+    unchanged, and building it costs more than most parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "compose" and (args.params is None) == (args.random is None):
         print("compose needs exactly one of --params or --random", file=sys.stderr)
         return 2

@@ -16,12 +16,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import factorial
+from itertools import combinations, count, product
+from math import comb, factorial, prod
 
 import numpy as np
 
-from .errors import ConsistencyViolation, InvalidIndex, ParseError
+from .errors import CapExceeded, ConsistencyViolation, InvalidIndex, ParseError
 from .laurent import LaurentSeries
 from .rootsub import RootParams
 
@@ -456,9 +456,10 @@ def _alternates(ivals, jvals, ends_with_i):
     return all(x < y for x, y in zip(merged, merged[1:]))
 
 
-def _cluster_splits(rest_i, rest_j):
+def _cluster_splits(rest_i, rest_j, steps):
     """Partitions of the leftover index values into balanced strictly
-    interlacing clusters; anchored on the smallest i to cut repeats."""
+    interlacing clusters; anchored on the smallest i to cut repeats.
+    Each candidate cluster ticks the counter steps."""
     if not rest_i and not rest_j:
         yield ()
         return
@@ -471,29 +472,58 @@ def _cluster_splits(rest_i, rest_j):
             rem_i = tuple(v for t, v in enumerate(tail_i) if t not in extra)
             for jpick in combinations(range(len(rest_j)), size):
                 cj = tuple(rest_j[t] for t in jpick)
+                _tick(steps)
                 if not _alternates(ci, cj, False):
                     continue
                 rem_j = tuple(v for t, v in enumerate(rest_j) if t not in jpick)
-                for rest in _cluster_splits(rem_i, rem_j):
+                for rest in _cluster_splits(rem_i, rem_j, steps):
                     yield ((ci, cj),) + rest
+
+
+# Work cap of the two exponential pair routines: enumerate_decompositions
+# examines at most this many candidate clusters, subindex_reductions
+# returns at most this many pairs; above it they raise CapExceeded.  A
+# candidate costs about 5 us on a 2-CPU Xeon, so the cap bounds a search
+# at about 5 s.  The tests need at most 335,478 candidates (the all-ones
+# pair of weight 10); a distinct-valued pair of length 7 needs 1.35
+# million.
+MAX_PAIR_STEPS = 1_000_000
+
+
+def _over_cap(what: str) -> CapExceeded:
+    return CapExceeded(f"{what} above the cap MAX_PAIR_STEPS = {MAX_PAIR_STEPS}")
+
+
+def _tick(steps) -> None:
+    if next(steps) >= MAX_PAIR_STEPS:
+        raise _over_cap("candidate clusters")
 
 
 def enumerate_decompositions(pair: IndexPair):
     """Distinct decompositions of the index multiset into one
     i-terminated cluster plus balanced clusters, as canonical tuples
-    ((mi, mj), sorted balanced clusters)."""
+    ((mi, mj), sorted balanced clusters).
+
+    Raises CapExceeded past MAX_PAIR_STEPS candidate clusters; at once
+    when the C(2L+1, L) candidates for the distinguished cluster alone
+    exceed it."""
     L = pair.L
+    candidates = comb(2 * L + 1, L)
+    if candidates > MAX_PAIR_STEPS:
+        raise _over_cap(f"{candidates} candidate clusters")
+    steps = count()
     found = set()
     for r in range(0, L + 1):
         for mi_pos in combinations(range(L + 1), r + 1):
             mi = tuple(pair.i[p] for p in mi_pos)
             for mj_pos in combinations(range(L), r):
                 mj = tuple(pair.j[p] for p in mj_pos)
+                _tick(steps)
                 if not _alternates(mi, mj, True):
                     continue
                 rest_i = tuple(pair.i[p] for p in range(L + 1) if p not in mi_pos)
                 rest_j = tuple(pair.j[p] for p in range(L) if p not in mj_pos)
-                for clusters in _cluster_splits(rest_i, rest_j):
+                for clusters in _cluster_splits(rest_i, rest_j, steps):
                     found.add(((mi, mj), tuple(sorted(clusters))))
     return sorted(found)
 
@@ -502,7 +532,7 @@ def cluster_coefficient(pair: IndexPair) -> int:
     """Signed count of cluster decompositions with the balanced clusters
     taken as an ordered sequence, so a decomposition contributes once per
     distinct ordering.  The sign depends on the number of balanced
-    clusters and the pair length."""
+    clusters and the pair length.  Capped like enumerate_decompositions."""
     L = pair.L
     total = 0
     for _, clusters in enumerate_decompositions(pair):
@@ -516,10 +546,15 @@ def cluster_coefficient(pair: IndexPair) -> int:
 
 def subindex_reductions(pair: IndexPair):
     """All pairs reachable by cancelling equal values between the i tail
-    and j, the original included."""
+    and j, the original included.
+
+    Raises CapExceeded when there are more than MAX_PAIR_STEPS of them."""
     tail, j = pair.i[1:], pair.j
     common = sorted(set(tail) & set(j))
     options = [range(min(tail.count(v), j.count(v)) + 1) for v in common]
+    total = prod(map(len, options))
+    if total > MAX_PAIR_STEPS:
+        raise _over_cap(f"{total} reductions")
     out = set()
     for counts in product(*options):
         ti, tj = list(tail), list(j)

@@ -60,5 +60,10 @@ class DenominatorVanishes(LoopFactError):
     """A pointwise denominator on the circle is numerically zero."""
 
 
+class CapExceeded(LoopFactError):
+    """An input is above the documented size cap of an exponential-time
+    routine."""
+
+
 class ParseError(LoopFactError):
     """A JSON document does not match the expected schema."""

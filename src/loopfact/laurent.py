@@ -4,6 +4,7 @@ Contents:
   LaurentSeries  -- immutable series sum_n c_n z^n with finitely many terms
   LoopMatrix     -- 2x2 matrix of LaurentSeries, entries named a, b, c, d
   CircleGrid     -- uniform grid on |z| = 1 with FFT analysis/synthesis
+                    of series and of loops
   star, project, invert_series, apply_sigma, unitarity_defect, max_norm
   JSON (de)serialization for series and loops
 
@@ -14,8 +15,9 @@ cleanup(f, tol) to drop small coefficients.
 
 Arithmetic runs in numpy on the coefficient block.  For series with n and m
 coefficients: a sum costs O(n + m), a product one np.convolve, O(n m);
-evaluation at P points is one np.polyval pass, O(n P); invert_series to
-order K costs K dot products of length <= deg d, O(K deg d).
+evaluation at P points is one np.polyval pass, O(n P), and on a P-point
+CircleGrid one inverse FFT, O(P log P); invert_series to order K costs K
+dot products of length <= deg d, O(K deg d).
 """
 
 from __future__ import annotations
@@ -364,15 +366,29 @@ class CircleGrid:
         k = np.arange(self.point_count)
         return np.exp(2j * np.pi * k / self.point_count)
 
-    def synthesize(self, f: LaurentSeries) -> np.ndarray:
-        """Values of f on the grid via inverse FFT placement."""
+    def _place(self, spec: np.ndarray, f: LaurentSeries) -> None:
+        """Write the coefficients of f into the spectrum row spec, power n
+        at n mod point_count; refuses a block longer than the grid."""
         p = self.point_count
-        if not f.is_zero and len(f.coefficients) > p:
+        if len(f.coefficients) > p:
             raise ValueError("series support exceeds grid resolution")
-        spec = np.zeros(p, dtype=complex)
         # the powers of f are distinct mod p because its block fits in p
         spec[np.arange(f.min_power, f.max_power + 1) % p] = f.coefficients
-        return np.fft.ifft(spec) * p
+
+    def synthesize(self, f: LaurentSeries) -> np.ndarray:
+        """Values of f on the grid via inverse FFT placement."""
+        spec = np.zeros(self.point_count, dtype=complex)
+        self._place(spec, f)
+        return np.fft.ifft(spec) * self.point_count
+
+    def synthesize_loop(self, g: LoopMatrix) -> np.ndarray:
+        """Values of g on the grid, shape (point_count, 2, 2), by one
+        batched inverse FFT over its four entries."""
+        p = self.point_count
+        spec = np.zeros((4, p), dtype=complex)
+        for row, f in zip(spec, g.entries()):
+            self._place(row, f)
+        return (np.fft.ifft(spec, axis=1) * p).T.reshape(p, 2, 2)
 
     def analyze(self, values: np.ndarray, min_power: int, max_power: int) -> LaurentSeries:
         """Fourier coefficients of sampled values for powers in [min_power, max_power].

@@ -10,8 +10,17 @@ and winding numbers with a numerical index cross-check.
 
 Every corner is one gather: a dense table of the entries' coefficients,
 indexed by p - q for row power p and column power q.  Building a corner
-with R x C blocks costs O(R C) memory moves; the Birkhoff solve and its
-rcond SVD then cost O(N^3) at truncation N.
+with R x C blocks costs O(R C) memory moves.
+
+The Birkhoff solve and its rcond use the structure of a unitary loop g
+with powers -lo..hi: A_N^H A_N is the identity except on the 2(lo + hi)
+coordinates of its first lo and last hi blocks, up to a term bounded by
+the unitarity defect of g (see _structured_corner).  That route gathers
+only those columns and the first two rows, O(N (lo + hi)) entries, and
+costs O(N (lo + hi)^2).  When the two end blocks overlap (lo + hi > N),
+or when the bound cannot certify the rcond decision and the solve to
+1e-12, the dense corner is built and the route falls back to an O(N^3)
+SVD and solve.  det_AstarA always takes slogdet of the dense corner.
 """
 
 from __future__ import annotations
@@ -133,6 +142,121 @@ def direct_shifted(g: LoopMatrix, N: int) -> np.ndarray:
     return table[offset - lo, 2 * component[:, None] + component[None, :]]
 
 
+# Relative error the structured corner may add to a solve or to |det A_N|;
+# beyond it, the dense route runs.
+_STRUCTURED_RTOL = 1e-12
+
+
+def _defect_l1(g: LoopMatrix) -> float:
+    """delta = sum_k ||(g^H g - I)_k||_F, the coefficient l1 norm of g^H g - I.
+
+    It bounds sup_z ||g(z)^H g(z) - I||_2 on the circle, hence the norm of
+    every compression of that multiplication operator.
+    """
+    h = g.adjoint() @ g
+    one = LaurentSeries.one()
+    entries = (h.a - one, h.b, h.c, h.d - one)
+    deg = LoopMatrix(*entries).max_degree()
+    return float(np.linalg.norm(coefficient_table(entries, -deg, deg), axis=1).sum())
+
+
+@dataclass(frozen=True)
+class _Corner:
+    """A_N^H A_N = blockdiag(G_S, I) + R with ||R||_2 <= eps.
+
+    values, vectors: eigen-decomposition of G_S = A[:, S]^H A[:, S];
+    support: the coordinates S; rows: the first two rows of A_N;
+    delta: the coefficient l1 norm of g^H g - I.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    support: np.ndarray
+    rows: np.ndarray
+    delta: float
+
+    @property
+    def lam_min(self) -> float:
+        """The least eigenvalue of blockdiag(G_S, I), min(1, lambda_1)."""
+        return float(self.values.min(initial=1.0))
+
+    @property
+    def lam_max(self) -> float:
+        """The largest eigenvalue of blockdiag(G_S, I), max(1, lambda_top)."""
+        return float(self.values.max(initial=1.0))
+
+    @property
+    def rcond(self) -> float:
+        return float(np.sqrt(self.lam_min / self.lam_max))
+
+    @property
+    def eps(self) -> float:
+        """2 delta, plus 2(N+1) + |S| units in the last place of lam_max: a
+        first-order allowance for rounding in the 2(N+1)-term dot products
+        that form G_S and in its eigenvalues, so that a delta of exactly zero
+        still leaves a band."""
+        terms = self.rows.shape[1] + self.support.size
+        return 2.0 * self.delta + terms * np.finfo(float).eps * self.lam_max
+
+    @property
+    def solve_error(self) -> float:
+        """A-priori relative error eps / (lam_min - eps) of solve()."""
+        gap = self.lam_min - self.eps
+        return self.eps / gap if gap > 0 else np.inf
+
+    def decides(self, tol: float) -> bool:
+        """True when solve() is good to 1e-12 and the test rcond < tol comes
+        out the same for every A^H A in the band: by Weyl, each eigenvalue
+        of A^H A lies within eps of one of blockdiag(G_S, I)."""
+        if self.solve_error > _STRUCTURED_RTOL:
+            return False
+        lo, hi, e = self.lam_min, self.lam_max, self.eps
+        return np.sqrt((lo - e) / (hi + e)) >= tol or np.sqrt((lo + e) / (hi - e)) < tol
+
+    def solve(self) -> np.ndarray:
+        """X = A^{-1} [e_1, e_2] = (A^H A)^{-1} A^H [e_1, e_2], with A^H A
+        replaced by blockdiag(G_S, I): X[S] = G_S^{-1} X[S], the rest as is."""
+        X = self.rows.conj().T.copy()
+        S = self.support
+        X[S] = self.vectors @ ((self.vectors.conj().T @ X[S]) / self.values[:, None])
+        return X
+
+
+def _structured_corner(g: LoopMatrix, N: int) -> _Corner | None:
+    """The corner A = A_N(g) through its defect block, or None when it has
+    none: the end blocks overlap (lo + hi > N) or the unitarity defect of g
+    is not finite.
+
+    With P projecting onto powers 0..N and Q = 1 - P,
+        A^H A = P + P T(g^H g - I) P - (Q T(g) P)^H (Q T(g) P).
+    Take lo = max(0, -min power of g) and hi = max(0, max power of g).
+    Block column q of Q T(g) P reaches rows q - lo..q + hi, so it vanishes
+    unless q < lo or q > N - hi: the last term lives on S x S, S the
+    coordinates of blocks 0..lo-1 and N+1-hi..N.  On S x S, A^H A is
+    G_S = A[:, S]^H A[:, S] exactly; off it, A^H A is the identity plus the
+    middle term.  That term off S x S, the part neglected here, has norm at
+    most 2 delta (removing a block at most doubles a norm).
+    """
+    live = [f for f in g.entries() if not f.is_zero]
+    lo = max([0] + [-f.min_power for f in live])
+    hi = max([0] + [f.max_power for f in live])
+    if lo + hi > N:
+        return None
+    delta = _defect_l1(g)
+    if not np.isfinite(delta):
+        return None
+    blocks = np.r_[0:lo, N + 1 - hi : N + 1]
+    support = (2 * blocks[:, None] + np.arange(2)).ravel()
+    entries = g.entries()
+    if support.size:
+        cols = gather(entries, np.arange(N + 1), blocks)
+        values, vectors = np.linalg.eigh(cols.conj().T @ cols)
+    else:  # a constant loop: G_S is empty
+        values, vectors = np.zeros(0), np.zeros((0, 0))
+    rows = gather(entries, [0], np.arange(N + 1))
+    return _Corner(values, vectors, support, rows, delta)
+
+
 def det_AstarA(g: LoopMatrix, N: int) -> float:
     """Magnitude |det A_N(g)| = det(A_N^* A_N)^(1/2) of the plus compression."""
     sign, logabs = np.linalg.slogdet(compress(g, N, "toeplitz").matrix)
@@ -151,19 +275,22 @@ class BirkhoffFactors:
     residual: float
     rcond: float
     minus_spill: float
+    route: str
 
 
 def _product_defect(g: LoopMatrix, factors: list, grid: CircleGrid) -> float:
-    """max_k ||g(z_k) - prod factors(z_k)||_2; factors are loops or constants."""
+    """max_k ||g(z_k) - prod factors(z_k)||_2; factors are loops or constants.
+
+    Loops are evaluated by inverse FFT, so each must fit the grid."""
     acc = None
     for f in factors:
         vals = (
             np.broadcast_to(f, (grid.point_count, 2, 2))
             if isinstance(f, np.ndarray)
-            else f.evaluate(grid.points)
+            else grid.synthesize_loop(f)
         )
         acc = vals.copy() if acc is None else acc @ vals
-    return max_norm(g.evaluate(grid.points) - acc)
+    return max_norm(grid.synthesize_loop(g) - acc)
 
 
 def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
@@ -173,20 +300,28 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
     coefficients of (g_zero g_plus)^{-1}, which is inverted as a 2x2 series
     matrix; g_minus = g * (g_zero g_plus)^{-1} truncated to powers <= 0.
 
-    Raises NotInvertible when the reciprocal condition number of the corner
-    falls below tol.
+    Raises NotInvertible when the 2-norm reciprocal condition number of the
+    corner falls below tol.
+
+    route is "structured" when the structured corner decides the rcond
+    test for every A^H A within its eps band and solves to relative error
+    1e-12; otherwise "dense", the SVD and solve of the dense corner.
     """
-    A = compress(g, N, "toeplitz").matrix
-    sv = np.linalg.svd(A, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    corner = _structured_corner(g, N)
+    if corner is not None and corner.decides(tol):
+        route, rcond = "structured", corner.rcond
+    else:
+        route, A = "dense", compress(g, N, "toeplitz").matrix
+        sv = np.linalg.svd(A, compute_uv=False)
+        rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     if not np.isfinite(rcond) or rcond < tol:
         raise NotInvertible(
             f"plus compression at N={N} has rcond {rcond:.3e} below {tol:.1e}"
         )
-    rhs = np.zeros((A.shape[0], 2), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[1, 1] = 1.0
-    X = np.linalg.solve(A, rhs)
+    if route == "structured":
+        X = corner.solve()
+    else:
+        X = np.linalg.solve(A, np.eye(len(A), 2, dtype=complex))
 
     def col_series(vec) -> tuple[LaurentSeries, LaurentSeries]:
         return (
@@ -219,7 +354,7 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
 
     grid = CircleGrid.for_width(2 * (N + g.max_degree()) + 2)
     residual = _product_defect(g, [g_minus, g_zero, g_plus], grid)
-    return BirkhoffFactors(g_minus, g_zero, g_plus, residual, rcond, spill)
+    return BirkhoffFactors(g_minus, g_zero, g_plus, residual, rcond, spill, route)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from loopfact import cli
 from loopfact.cli import main
 from loopfact.factor import RootSubgroupData
 from loopfact.laurent import (
@@ -95,6 +96,21 @@ def test_compose_params_matches_library_product(tmp_path):
     expected = partial_product(RootParams("zeta", (0.5,)))
     for got, want in zip(loop.entries(), expected.entries()):
         assert (got - want).coefficient_max() < 1e-15
+
+
+def test_parser_is_reused_without_leaking_state(tmp_path, capsys, monkeypatch):
+    assert main(["compose", "--random", "1"]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    # a failed parse, then two calls that differ in their options
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["factor", "--mode", "bogus"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    out = tmp_path / "loop.json"
+    assert main(["compose", "--random", "2", "--seed", "3", "--out", str(out)]) == 0
+    assert main(["compose", "--random", "2", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_compose_requires_exactly_one_source(tmp_path, capsys):

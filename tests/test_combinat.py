@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from loopfact.errors import InvalidIndex, ParseError
+from loopfact.errors import CapExceeded, InvalidIndex, LoopFactError, ParseError
 from loopfact.laurent import truncate
 from loopfact.rootsub import RootParams, partial_product
 from loopfact.factor import k2_triangular_from_cd
+from loopfact import combinat
 from loopfact.combinat import (
     CoefficientTable,
     IndexPair,
@@ -276,6 +277,24 @@ def test_smallest_and_worked_cluster_examples():
     decomps = enumerate_decompositions(worked)
     assert len(decomps) == 2
     assert cluster_coefficient(worked) == 0
+
+
+def test_exponential_pair_routines_are_capped(monkeypatch):
+    # the all-ones pair of weight 10 is the largest search the tests run
+    assert combinat.MAX_PAIR_STEPS > 335_478
+    # length 11: the distinguished cluster alone has C(23, 11) candidates
+    with pytest.raises(CapExceeded):
+        enumerate_decompositions(IndexPair((1,) * 12, (1,) * 11))
+    worked = IndexPair((1, 1, 3), (2, 2))
+    monkeypatch.setattr(combinat, "MAX_PAIR_STEPS", 20)
+    for routine in (enumerate_decompositions, cluster_coefficient):
+        with pytest.raises(CapExceeded) as info:
+            routine(worked)
+        assert isinstance(info.value, LoopFactError)
+    # 2^4 reductions fit under the lowered cap, 2^6 do not
+    assert len(subindex_reductions(IndexPair((1, 2, 3, 4, 5), (2, 3, 4, 5)))) == 16
+    with pytest.raises(CapExceeded):
+        subindex_reductions(IndexPair((1, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)))
 
 
 def test_cancellation_for_all_violating_pairs():

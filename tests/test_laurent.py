@@ -147,6 +147,27 @@ def test_circle_grid_round_trip():
     assert np.max(np.abs(vals - f.evaluate(grid.points))) < 1e-12
 
 
+@given(st.tuples(series_strategy, series_strategy, series_strategy, series_strategy))
+@settings(max_examples=60)
+def test_synthesize_loop_matches_horner(entries):
+    g = LoopMatrix(*entries)
+    grid = CircleGrid(16)
+    vals = grid.synthesize_loop(g)
+    assert vals.shape == (16, 2, 2)
+    for k, f in enumerate(entries):
+        scale = 1.0 + np.abs(f.array).sum()
+        gap = np.abs(vals[:, k // 2, k % 2] - oracles.horner(f, grid.points))
+        assert gap.max() <= 1e-12 * scale
+
+
+def test_synthesize_loop_refuses_to_alias():
+    wide = LaurentSeries(-4, (1.0,) * 17)
+    g = LoopMatrix.diagonal(LaurentSeries.one(), wide)
+    assert CircleGrid(17).synthesize_loop(g).shape == (17, 2, 2)
+    with pytest.raises(ValueError):
+        CircleGrid(16).synthesize_loop(g)
+
+
 def test_apply_sigma_is_conjugation_by_w():
     # sigma(g) must equal w g w^{-1} with w = [[0,1],[z,0]] pointwise
     rng = np.random.default_rng(3)

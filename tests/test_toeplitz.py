@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from loopfact.errors import NotInvertible, ShiftedNotInvertible, VanishingSymbol
 from loopfact.laurent import CircleGrid, LaurentSeries, LoopMatrix, star
+from loopfact import toeplitz
 from loopfact.rootsub import RootParams, partial_product
 from loopfact.toeplitz import (
+    _defect_l1,
+    _structured_corner,
     birkhoff,
     compress,
     det_AstarA,
@@ -197,3 +200,150 @@ def test_winding_agrees_with_minus_index():
     cases.append(star(d))
     for f in cases:
         assert winding_number(f, grid) == -toeplitz_index(f, 40)
+
+
+# --- structured corner ------------------------------------------------
+
+
+def end_blocks(g: LoopMatrix) -> tuple[int, int]:
+    """lo = max(0, -min power) and hi = max(0, max power) over the entries."""
+    live = [f for f in g.entries() if not f.is_zero]
+    return max([0] + [-f.min_power for f in live]), max([0] + [f.max_power for f in live])
+
+
+def dense_reference(g: LoopMatrix, N: int):
+    """rcond and A^{-1} [e_1, e_2] of the dense corner, by numpy."""
+    A = compress(g, N).matrix
+    sv = np.linalg.svd(A, compute_uv=False)
+    rhs = np.zeros((A.shape[0], 2), dtype=complex)
+    rhs[0, 0] = rhs[1, 1] = 1.0
+    return sv[-1] / sv[0], np.linalg.solve(A, rhs)
+
+
+def defect_l1(g: LoopMatrix) -> float:
+    """sum_m ||sum_j C_j^H C_(j+m) - [m = 0] I||_F over the coefficient
+    blocks C_k of g, block by block."""
+    deg = g.max_degree()
+    blocks = {k: fourier_block(g, k) for k in range(-deg, deg + 1)}
+    total = 0.0
+    for m in range(-2 * deg, 2 * deg + 1):
+        acc = -np.eye(2) if m == 0 else np.zeros((2, 2))
+        for j, cj in blocks.items():
+            if j + m in blocks:
+                acc = acc + cj.conj().T @ blocks[j + m]
+        total += np.linalg.norm(acc)
+    return total
+
+
+def gram_extremes(g: LoopMatrix, N: int) -> tuple[float, float]:
+    """min(1, lambda_1) and max(1, lambda_top) of A[:, S]^H A[:, S]."""
+    lo, hi = end_blocks(g)
+    blocks = list(range(lo)) + list(range(N + 1 - hi, N + 1))
+    cols = [2 * b + c for b in blocks for c in (0, 1)]
+    A = compress(g, N).matrix[:, cols]
+    lam = np.linalg.eigvalsh(A.conj().T @ A)
+    return min(1.0, lam[0]), max(1.0, lam[-1])
+
+
+root_value = st.builds(
+    lambda r, t: r * np.exp(2j * np.pi * t), st.floats(0.0, 0.6), st.floats(0.0, 1.0)
+)
+
+
+@given(
+    st.sampled_from(("zeta", "eta")),
+    st.lists(root_value, min_size=1, max_size=8),
+    st.integers(0, 40),
+)
+@settings(max_examples=60, deadline=None)
+def test_structured_corner_matches_dense_numpy(side, values, extra):
+    g = partial_product(RootParams(side, tuple(values)))
+    lo, hi = end_blocks(g)
+    N = lo + hi + extra
+    rcond, X = dense_reference(g, N)
+    corner = _structured_corner(g, N)
+    bf = birkhoff(g, N)
+    assert abs(bf.rcond - rcond) <= 1e-12
+    # an uncertified corner (lam_min too small for 1e-12) must go dense
+    if not corner.decides(1e-10):
+        assert bf.route == "dense"
+        return
+    assert bf.route == "structured" and bf.residual < 1e-10
+    assert abs(corner.rcond - rcond) <= 1e-12
+    assert np.max(np.abs(corner.solve() - X)) <= 1e-12
+
+
+def test_defect_l1_matches_blockwise_sum():
+    g = partial_product(RootParams("zeta", (0.3, 0.2j)))
+    assert _defect_l1(g) < 1e-14
+    bent = LoopMatrix(g.a, g.b + LaurentSeries.monomial(3, 1e-3), g.c, g.d)
+    assert abs(_defect_l1(bent) - defect_l1(bent)) < 1e-15
+
+
+def test_constant_loop_has_empty_defect_block():
+    phase = np.exp(0.7j)
+    g = LoopMatrix.from_constant(np.diag([phase, 1 / phase]))
+    corner = _structured_corner(g, 5)
+    assert corner.support.size == 0 and corner.rcond == 1.0
+    bf = birkhoff(g, 5)
+    assert bf.route == "structured" and bf.rcond == 1.0
+    assert abs(bf.g_zero[0, 0] - phase) < 1e-15 and bf.residual < 1e-15
+
+
+def test_overlapping_end_blocks_go_dense(monkeypatch):
+    g = partial_product(RootParams("zeta", (0.3, 0.2, 0.1, 0.05)))
+    assert end_blocks(g) == (4, 4)
+    structured = birkhoff(g, 8)
+    assert structured.route == "structured"
+
+    # the unitarity defect is not computed once the end blocks overlap
+    def unreached(loop):
+        raise AssertionError("_defect_l1 called for overlapping end blocks")
+
+    monkeypatch.setattr(toeplitz, "_defect_l1", unreached)
+    assert _structured_corner(g, 7) is None
+    dense = birkhoff(g, 7)
+    assert dense.route == "dense"
+    assert dense.rcond == dense_reference(g, 7)[0]
+
+
+def test_nonunitary_loop_goes_dense_with_todays_answer():
+    g = partial_product(RootParams("zeta", (0.3, 0.2)))
+    # a 1e-6 term at z^1 leaves the end blocks alone but breaks unitarity
+    bent = LoopMatrix(g.a, g.b + LaurentSeries.monomial(1, 1e-6), g.c, g.d)
+    assert defect_l1(bent) > 1e-7
+    bf = birkhoff(bent, 24)
+    assert bf.route == "dense"
+    assert bf.rcond == dense_reference(bent, 24)[0]
+    # non-unitary and singular in the limit: 1 - 2z vanishes inside the disk
+    lower = LoopMatrix.diagonal(LaurentSeries(0, (1.0, -2.0)), LaurentSeries.one())
+    assert _structured_corner(lower, 48) is not None
+    with pytest.raises(NotInvertible):
+        birkhoff(lower, 48)
+
+
+def test_rcond_inside_the_band_goes_dense():
+    # scaling by 1 + t keeps the loop's structure and makes delta = 2 sqrt(2) t
+    t = 3.5e-14
+    g = partial_product(RootParams("zeta", (0.3, 0.2j))).scale(1 + t)
+    N = 10
+    delta = defect_l1(g)
+    assert 5e-14 < delta < 2e-13
+    lam_min, lam_max = gram_extremes(g, N)
+
+    def tol_at(margin):
+        return np.sqrt((lam_min - margin) / (lam_max + margin))
+
+    # eps = 2 delta: a tol 1.5 delta below rcond is undecided, 3 delta is not
+    assert birkhoff(g, N, tol=tol_at(1.5 * delta)).route == "dense"
+    assert birkhoff(g, N, tol=tol_at(3.0 * delta)).route == "structured"
+    assert birkhoff(g, N, tol=1e-10).route == "structured"
+
+
+def test_blaschke_corner_is_never_certified():
+    g = blaschke_loop()
+    assert _structured_corner(g, 48) is None
+    corner = _structured_corner(g, 160)
+    assert corner is not None and not corner.decides(1e-10)
+    with pytest.raises(NotInvertible):
+        birkhoff(g, 160)
