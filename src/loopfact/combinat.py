@@ -8,6 +8,39 @@ series division per parameter, O(S^3) ring products in all), expands it
 exactly with a dict-backed polynomial type (conjugates treated as
 independent letters), extracts the grouped coefficient tables, and checks
 them against an independent signed enumeration of cluster decompositions.
+
+Packed monomials.  The exact polynomial keys each monomial by one int of
+B-bit fields (packed monomials as in Monagan and Pearce, "Sparse
+polynomial multiplication and division in Maple 14"): field 0 holds the
+plain weight sum(i * e(z_i)), field 2i - 1 the exponent of z_i, field 2i
+that of zb_i.  A monomial product is one int add, the weight cap one mask
+and compare; keys become IndexPairs only at table extraction.  The top
+bit of every field is a guard: while the fields of both operands are
+below 2^(B-1), their sum carries across no field boundary and a field
+overflowed exactly when its guard bit is set.  Every product ORs its
+output keys and raises ConsistencyViolation on a set guard bit.
+
+Field bound, support S.  In row m of _suffix_table over the letters,
+every monomial of cur[i] has (a) plain degree - barred degree = 1 and
+plain weight - barred weight = i, and (b) plain degree <= m - i + 1.
+Both hold for cur[m] = z_m.  Expanding G = R / (1 - wb R),
+
+    nxt[i] = (1 + z_m zb_m) sum_s zb_m^s sum_{j_0+..+j_s = m-i} prod_t cur[m - j_t]
+
+over row m - 1 with every j_t >= 1.  By (b) cur[m - j] has plain degree
+<= j, so the product has plain degree <= m - i and the scale adds at
+most 1.  (a) adds up: s + 1 factors of degree difference 1 against s
+letters zb_m give 1, and weights give sum_t (m - j_t) - s m = i.  The
+partial sums g_d and products r_j g_(d-j) are sub-sums of the same
+expansions, with barred degree <= plain degree <= m.  So exponents are
+at most S and plain weights at most S^2 (S^2 - S + 1 is reached).  A
+weight cap only drops monomials, since weights add and are nonnegative.
+Division by z_n lowers a field; uncapped, division by 1 + z_k zb_k forms
+slices of the exact quotient, whose monomials divide the dividend's.
+Capped, its tail holds junk products of plain weight <= cap, and every
+monomial of group n has plain - barred weight = 1 - n, so barred weight
+< cap + S.  Every field thus stays at most max(S^2, cap + S): 16-bit
+fields hold S <= 181 and any cap below 32768 - S.
 """
 
 from __future__ import annotations
@@ -16,8 +49,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, count, product
 from math import comb, factorial, prod
+from operator import or_
 
 import numpy as np
 
@@ -117,41 +152,68 @@ def b_sum(params: RootParams, n: int, m: int) -> complex:
 
 # --- exact polynomials, conjugates as independent letters -------------
 
-
-def _merge_parts(a, b):
-    d = dict(a)
-    for idx, e in b:
-        d[idx] = d.get(idx, 0) + e
-    return tuple(sorted(d.items()))
+# Width B of one packed monomial field; its top bit is the guard.  The
+# module docstring proves every field stays at most max(S^2, cap + S).
+_FIELD_BITS = 16
 
 
-def _key_weight(key):
-    # weight counts only plain letters; it bounds the conjugate side
-    return sum(idx * e for idx, e in key[0])
+def _field_shift(idx, barred):
+    return _FIELD_BITS * (2 * idx - 1 + barred)
+
+
+def _letter_key(idx, barred):
+    """Packed key of z_idx or zb_idx; only plain letters carry weight."""
+    return (0 if barred else idx) + (1 << _field_shift(idx, barred))
+
+
+def _letters(key):
+    """(index, barred, exponent) of every letter of a packed key, in
+    ascending index order, plain before barred."""
+    mask = (1 << _FIELD_BITS) - 1
+    key >>= _FIELD_BITS
+    f = 1
+    while key:
+        if key & mask:
+            yield (f + 1) // 2, f % 2 == 0, key & mask
+        key >>= _FIELD_BITS
+        f += 1
+
+
+def _check_guards(keys):
+    """Raise if any key has a guard bit set, i.e. a field overflowed."""
+    acc = reduce(or_, keys, 0)
+    fields = acc.bit_length() // _FIELD_BITS + 1
+    ones = ((1 << _FIELD_BITS * fields) - 1) // ((1 << _FIELD_BITS) - 1)
+    if acc & (ones << (_FIELD_BITS - 1)):
+        raise ConsistencyViolation(f"a monomial field overflowed {_FIELD_BITS} bits")
 
 
 class _Poly:
-    """Integer polynomial in letters z_i and zb_i, monomials keyed by a
-    pair of sorted (index, exponent) tuples.  An optional weight cap
-    prunes monomials whose plain-letter weight exceeds it; pruning is an
-    ideal, so capped arithmetic stays exact below the cap."""
+    """Integer polynomial in letters z_i and zb_i, one packed int per
+    monomial: field 0 holds the plain-letter weight, field 2i - 1 the
+    exponent of z_i and field 2i that of zb_i, each _FIELD_BITS wide with
+    a guard top bit.  A monomial product is one int add, and every
+    product raises ConsistencyViolation if a guard bit of its output is
+    set; the module docstring proves the fields fit.  An optional weight
+    cap prunes monomials whose plain-letter weight exceeds it; pruning is
+    an ideal, so capped arithmetic stays exact below the cap."""
 
     __slots__ = ("terms", "cap")
 
     def __init__(self, terms=None, cap=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        terms = terms or {}
+        self.terms = terms if 0 not in terms.values() else {k: c for k, c in terms.items() if c}
         self.cap = cap
 
     @staticmethod
     def variable(index, barred, cap=None):
-        key = ((), ((index, 1),)) if barred else (((index, 1),), ())
-        return _Poly({key: 1}, cap)
+        return _Poly({_letter_key(index, barred): 1}, cap)
 
     def _coerce(self, other):
         if isinstance(other, _Poly):
             return other
         if isinstance(other, int):
-            return _Poly({((), ()): other} if other else {}, self.cap)
+            return _Poly({0: other} if other else {}, self.cap)
         return NotImplemented
 
     def __add__(self, other):
@@ -159,33 +221,29 @@ class _Poly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
+            out[k] = get(k, 0) + c
         return _Poly(out, self.cap if self.cap is not None else other.cap)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _Poly({k: -c for k, c in self.terms.items()}, self.cap)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         cap = self.cap if self.cap is not None else other.cap
+        wmask = (1 << _FIELD_BITS) - 1
+        limit = wmask if cap is None else cap
+        right = other.terms.items()
         out = {}
+        get = out.get
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = (_merge_parts(k1[0], k2[0]), _merge_parts(k1[1], k2[1]))
-                if cap is not None and _key_weight(key) > cap:
-                    continue
-                out[key] = out.get(key, 0) + c1 * c2
+            for k2, c2 in right:
+                key = k1 + k2
+                if key & wmask <= limit:
+                    out[key] = get(key, 0) + c1 * c2
+        _check_guards(out)
         return _Poly(out, cap)
 
     __rmul__ = __mul__
@@ -196,53 +254,46 @@ class _Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
 
 def _contains_index(key, idx):
-    return any(i == idx for i, _ in key[0]) or any(i == idx for i, _ in key[1])
+    # the z_idx and zb_idx fields sit side by side
+    return (key >> _field_shift(idx, False)) & ((1 << 2 * _FIELD_BITS) - 1) != 0
 
 
 def _divide_by_letter(poly, idx):
     """Exact division by the plain letter z_idx."""
+    letter = _letter_key(idx, False)
+    shift, mask = _field_shift(idx, False), (1 << _FIELD_BITS) - 1
     out = {}
     for key, c in poly.terms.items():
-        zpart = dict(key[0])
-        if zpart.get(idx, 0) < 1:
+        if not key >> shift & mask:
             raise ConsistencyViolation(
                 f"monomial not divisible by letter {idx}"
             )
-        zpart[idx] -= 1
-        if zpart[idx] == 0:
-            del zpart[idx]
-        out[(tuple(sorted(zpart.items())), key[1])] = c
+        out[key - letter] = c
     return _Poly(out, poly.cap)
 
 
-def _pair_order(key, idx):
-    return min(dict(key[0]).get(idx, 0), dict(key[1]).get(idx, 0))
-
-
 def _divide_one_plus_u(poly, idx):
-    """Exact division by 1 + z_idx zb_idx via ascent in the paired order."""
-    if not poly.terms:
-        return _Poly({}, poly.cap)
+    """Exact division by 1 + z_idx zb_idx via ascent in the paired order:
+    the order-d slice of the quotient is the dividend's minus u times the
+    order-(d - 1) slice."""
+    # the paired order min(e(z_idx), e(zb_idx)) reads two adjacent fields
+    plain, mask = _field_shift(idx, False), (1 << _FIELD_BITS) - 1
+    barred = plain + _FIELD_BITS
     by_ord = {}
     for key, c in poly.terms.items():
-        by_ord.setdefault(_pair_order(key, idx), {})[key] = c
-    u = _Poly({(((idx, 1),), ((idx, 1),)): 1}, poly.cap)
-    max_ord = max(by_ord)
-    parts = [_Poly(by_ord.get(0, {}), poly.cap)]
-    for d in range(1, max_ord + 1):
-        parts.append(_Poly(by_ord.get(d, {}), poly.cap) - u * parts[-1])
-    result = _Poly({}, poly.cap)
-    for p in parts:
-        result = result + p
+        order = min(key >> plain & mask, key >> barred & mask)
+        by_ord.setdefault(order, {})[key] = c
+    minus_u = _Poly({_letter_key(idx, False) + _letter_key(idx, True): -1}, poly.cap)
+    part = result = _Poly(by_ord.get(0, {}), poly.cap)
+    for d in range(1, max(by_ord, default=0) + 1):
+        part = _Poly(by_ord.get(d, {}), poly.cap) + minus_u * part
+        result = result + part
     # quotient weight w only reads dividend weights <= w, so under a cap
     # the result is right below the cap even though the tail is junk;
     # exact mode demands a clean multiply-back
-    if poly.cap is None and not (result + u * result) == poly:
+    if poly.cap is None and not result == poly + minus_u * result:
         raise ConsistencyViolation(
             f"division by 1 + |z_{idx}|^2 left a remainder"
         )
@@ -343,15 +394,34 @@ class CoefficientTable:
 
     @staticmethod
     def from_json(text: str) -> "CoefficientTable":
+        """Inverse of to_json; anything to_json cannot write (a float,
+        boolean or non-positive coefficient, a repeated pair, a
+        non-integer support or cap) raises ParseError."""
         try:
             data = json.loads(text)
-            entries = {
-                IndexPair(tuple(row["i"]), tuple(row["j"])): int(row["c"])
-                for row in data["entries"]
-            }
-            return CoefficientTable(entries, int(data["support"]), data["weight_cap"])
+            support = _json_int(data["support"], "support", 0)
+            cap = data["weight_cap"]
+            if cap is not None:
+                cap = _json_int(cap, "weight_cap", 0)
+            entries = {}
+            for row in data["entries"]:
+                pair = IndexPair(
+                    tuple(_json_int(v, "index", 1) for v in row["i"]),
+                    tuple(_json_int(v, "index", 1) for v in row["j"]),
+                )
+                if pair in entries:
+                    raise ParseError(f"duplicate entry for {pair.i}/{pair.j}")
+                entries[pair] = _json_int(row["c"], "coefficient", 1)
         except (KeyError, TypeError, ValueError, InvalidIndex) as exc:
             raise ParseError(f"bad coefficient table payload: {exc}") from exc
+        return CoefficientTable(entries, support, cap)
+
+
+def _json_int(value, what: str, lowest: int) -> int:
+    """A JSON integer of at least `lowest`; floats and booleans refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
+        raise ParseError(f"{what} must be an integer >= {lowest}, got {value!r}")
+    return value
 
 
 def coefficient_tables(support: int, weight_cap: int | None = 12) -> CoefficientTable:
@@ -369,11 +439,11 @@ def coefficient_tables(support: int, weight_cap: int | None = 12) -> Coefficient
         (_Poly.variable(i, False, weight_cap), _Poly.variable(i, True, weight_cap))
         for i in range(1, support + 1)
     ]
-    remainder = _suffix_table(pairs)[1]
+    remainder = _suffix_table(pairs)[1].terms
     entries = {}
     for n in range(1, support + 1):
-        sel = {k: c for k, c in remainder.terms.items() if _contains_index(k, n)}
-        remainder = remainder - _Poly(sel, weight_cap)
+        sel = {k: c for k, c in remainder.items() if _contains_index(k, n)}
+        remainder = {k: c for k, c in remainder.items() if k not in sel}
         if not sel:
             continue
         group = _Poly(sel, weight_cap)
@@ -382,8 +452,9 @@ def coefficient_tables(support: int, weight_cap: int | None = 12) -> Coefficient
             s_poly = _divide_one_plus_u(s_poly, k)
         if weight_cap is not None:
             # divisions consumed weight n, so only this region is certified
+            wmask = (1 << _FIELD_BITS) - 1
             s_poly = _Poly(
-                {k: c for k, c in s_poly.terms.items() if _key_weight(k) <= weight_cap - n},
+                {k: c for k, c in s_poly.terms.items() if k & wmask <= weight_cap - n},
                 weight_cap,
             )
         if n == 1:
@@ -391,8 +462,9 @@ def coefficient_tables(support: int, weight_cap: int | None = 12) -> Coefficient
                 raise ConsistencyViolation("group 1 must reduce to the constant 1")
             continue
         for key, c in s_poly.terms.items():
-            itail = tuple(idx for idx, e in key[0] for _ in range(e))
-            jlist = tuple(idx for idx, e in key[1] for _ in range(e))
+            letters = list(_letters(key))
+            itail = tuple(idx for idx, barred, e in letters if not barred for _ in range(e))
+            jlist = tuple(idx for idx, barred, e in letters if barred for _ in range(e))
             if len(itail) != len(jlist):
                 raise ConsistencyViolation("unbalanced monomial in a group table")
             pair = IndexPair((n,) + itail, jlist)
@@ -403,7 +475,7 @@ def coefficient_tables(support: int, weight_cap: int | None = 12) -> Coefficient
                     f"coefficient for {pair.i}/{pair.j} is {c!r}, not a positive integer"
                 )
             entries[pair] = c
-    if remainder.terms:
+    if remainder:
         raise ConsistencyViolation("residue monomials left outside all groups")
     return CoefficientTable(entries, support, weight_cap)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ParseError
 from .laurent import LaurentSeries, LoopMatrix, finite_complex
@@ -23,9 +22,6 @@ __all__ = [
     "a_factor",
     "elementary_factor",
     "partial_product",
-    "gammadelta_coeffs",
-    "coefficient_bound",
-    "integer_partitions",
 ]
 
 
@@ -133,73 +129,3 @@ def partial_product(params: RootParams, upto: int | None = None) -> LoopMatrix:
     for n in range(params.index_base, hi + 1):
         out = elementary_factor(params.side, n, params.value_at(n)) @ out
     return out
-
-
-def gammadelta_coeffs(params: RootParams, n_max: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """Closed-form entries of the normalized lower-family product.
-
-    Dividing the product of zeta factors by its scalar prefactor
-    prod_n a(zeta_n) leaves [[delta*, -gamma*], [gamma, delta]].  The z^n
-    coefficient of gamma is a signed sum over strictly increasing index
-    chains i1 < j1 < ... < jr < i(r+1) with sum(i) - sum(j) = n, each chain
-    contributing prod(-conj(zeta_i)) * prod(zeta_j); delta sums chains
-    i1 < j1 < ... < ir < jr with sum(j) - sum(i) = n and terms
-    prod(zeta_i) * prod(-conj(zeta_j)).  Returns (gamma, delta) up to z^n_max.
-    """
-    if params.side != "zeta":
-        raise ValueError("gammadelta_coeffs applies to the zeta family")
-    idx = list(params.indices)
-    gamma: dict[int, complex] = {}
-    delta: dict[int, complex] = {0: 1.0 + 0.0j}
-    for size in range(1, len(idx) + 1):
-        for chain in combinations(idx, size):
-            # roles alternate along the increasing chain, starting with i
-            i_part = chain[0::2]
-            j_part = chain[1::2]
-            if size % 2 == 1:
-                n = sum(i_part) - sum(j_part)
-                if not 1 <= n <= n_max:
-                    continue
-                term = 1.0 + 0.0j
-                for i in i_part:
-                    term *= -params.value_at(i).conjugate()
-                for j in j_part:
-                    term *= params.value_at(j)
-                gamma[n] = gamma.get(n, 0.0) + term
-            else:
-                n = sum(j_part) - sum(i_part)
-                if not 1 <= n <= n_max:
-                    continue
-                term = 1.0 + 0.0j
-                for i in i_part:
-                    term *= params.value_at(i)
-                for j in j_part:
-                    term *= -params.value_at(j).conjugate()
-                delta[n] = delta.get(n, 0.0) + term
-    return LaurentSeries.from_dict(gamma), LaurentSeries.from_dict(delta)
-
-
-def integer_partitions(n: int):
-    """Yield the partitions of n as nonincreasing tuples."""
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
-
-
-def coefficient_bound(params: RootParams, n: int) -> float:
-    """Combinatorial bound on the magnitude of the z^n product coefficients.
-
-    Sums ||values||_2^(2 * length) over the integer partitions of n; chains
-    contributing to a z^n coefficient refine partitions of n, and each
-    refinement class is bounded by a power of the l2 norm.
-    """
-    if n < 1:
-        raise ValueError("bound is defined for n >= 1")
-    norm_sq = params.l2_sum()
-    return float(sum(norm_sq ** len(p) for p in integer_partitions(n)))

@@ -22,7 +22,7 @@ from loopfact.combinat import (
 )
 from loopfact.errors import NotFactorizable, NotInvertible
 from loopfact.laurent import LaurentSeries, LoopMatrix, star, truncate
-from loopfact.rootsub import RootParams, a_factor, gammadelta_coeffs, partial_product
+from loopfact.rootsub import RootParams, a_factor, partial_product
 from loopfact.toeplitz import (
     det_AstarA,
     scalar_compress,
@@ -41,6 +41,8 @@ from loopfact.factor import (
     rootsub_factorize,
     zeta_from_loop,
 )
+
+from oracles import gammadelta_coeffs
 
 RAPID = lambda n: 0.8 * 0.5**n
 

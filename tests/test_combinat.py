@@ -1,12 +1,20 @@
 """Residue recursion, exact coefficient tables, cluster sums, identities."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from loopfact.errors import CapExceeded, InvalidIndex, LoopFactError, ParseError
+from loopfact.errors import (
+    CapExceeded,
+    ConsistencyViolation,
+    InvalidIndex,
+    LoopFactError,
+    ParseError,
+)
 from loopfact.laurent import truncate
 from loopfact.rootsub import RootParams, partial_product
 from loopfact.factor import k2_triangular_from_cd
@@ -27,6 +35,8 @@ from loopfact.combinat import (
     x1_recursion,
     zeta1_four_vars,
 )
+
+from oracles import TuplePoly
 
 
 def shape_pairs(max_weight):
@@ -112,6 +122,59 @@ def test_suffix_table_matches_composition_reference_over_polynomials():
             assert got.keys() == want.keys()
             for start in want:
                 assert got[start].terms == want[start].terms, (support, cap, start)
+
+
+def decode(key):
+    """A packed monomial as the oracle's pair of sorted (index, exponent)
+    tuples; its weight field must equal the plain-letter weight."""
+    plain, barred = [], []
+    for idx, is_barred, e in combinat._letters(key):
+        (barred if is_barred else plain).append((idx, e))
+    assert key & ((1 << combinat._FIELD_BITS) - 1) == sum(i * e for i, e in plain)
+    return tuple(plain), tuple(barred)
+
+
+def test_packed_suffix_table_matches_tuple_oracle():
+    for support in range(1, 9):
+        for cap in (None, 2 * support):
+            got = _suffix_table(letter_pairs(support, cap))
+            want = _suffix_table(
+                [
+                    (TuplePoly.variable(i, False, cap), TuplePoly.variable(i, True, cap))
+                    for i in range(1, support + 1)
+                ]
+            )
+            assert got.keys() == want.keys()
+            for start in want:
+                decoded = {decode(k): c for k, c in got[start].terms.items()}
+                assert len(decoded) == len(got[start].terms)
+                assert decoded == want[start].terms, (support, cap, start)
+
+
+def test_packed_field_overflow_raises():
+    x = _Poly.variable(1, True)
+    for _ in range(combinat._FIELD_BITS - 2):
+        x = x * x
+    # zb_1^(2^14) is the largest power of two below the guard bit
+    assert [decode(k) for k in x.terms] == [((), ((1, 2 ** (combinat._FIELD_BITS - 2)),))]
+    with pytest.raises(ConsistencyViolation):
+        x * x
+    # z_2^(2^13) has weight 2^14: one more squaring overflows the weight
+    # field while the z_2 exponent field still fits
+    y = _Poly.variable(2, False)
+    for _ in range(combinat._FIELD_BITS - 3):
+        y = y * y
+    assert [decode(k) for k in y.terms] == [(((2, 2 ** (combinat._FIELD_BITS - 3)),), ())]
+    with pytest.raises(ConsistencyViolation):
+        y * y
+
+
+def test_narrow_fields_raise_instead_of_wrong_tables(monkeypatch):
+    # support 4 reaches plain weight 13; a 4-bit field holds at most 7
+    assert coefficient_tables(4, weight_cap=None).entries
+    monkeypatch.setattr(combinat, "_FIELD_BITS", 4)
+    with pytest.raises(ConsistencyViolation):
+        coefficient_tables(4, weight_cap=None)
 
 
 def test_suffix_table_matches_composition_reference_over_complex():
@@ -200,6 +263,33 @@ def test_full_x_nonnegative_and_monotone_for_nonnegative_params():
 # --- coefficient tables -----------------------------------------------
 
 
+# sha256 of coefficient_tables(s, cap).to_json() before the packed keys
+TABLE_DIGESTS = {
+    (1, None): "818756cb67759f2652cb7d8b11db1634f7b14fb3e945ed0cf4d98e28602ccc9a",
+    (1, 2): "371661a04942db01f01e9a3334cb1f31b43db4eae3723e8fd4c4076d87fbb774",
+    (2, None): "4fc522a8ff571303a5c99dc6c63693f0233fc71427b18e962ce7dc0ce1367e79",
+    (2, 4): "98083a8e8eea5f97c66be7e21c387e49c197f1bd3e91f6bacfda9518f5eb899e",
+    (3, None): "d033d0ce33d59633ad5b604c7d1536052d297f7ba21f720ae58f7d88a1d18220",
+    (3, 6): "3f4b4fad24a36223681b30f7c1631d36649638bcb07e7d1fd85fc40bfd5597de",
+    (4, None): "a7382f4ed89ffb679986d55691bbb1d98e6b94643f415ee67a614503f3e4faab",
+    (4, 8): "30000c498599add5227f0fde6e8590bc97c180529940cfed42d640172c665306",
+    (5, None): "8626c9e99b8ca8bd545e58b4b58c9cfda0dd313a6490a848708b82576c7e9b40",
+    (5, 10): "a1b3b0e765007c4e690997134399ac9fb6defb720c790678e1775d75e016489d",
+    (6, None): "b90b8c39db1138fec8df7c515a9b29538ac9b54a713a12ac589ef2e87042ca67",
+    (6, 12): "b20dc3926bf58b31054830ad2851856b2d73f738a503e42450e87ae991fc62bb",
+    (7, None): "e0c3f2f8441361cf58ac8c3ac478ba99822356489e0e28b06f682a73c0758fac",
+    (7, 14): "f35e39c1979255c7fa7ddadbcde93843f37a65f05104c672a6dc83e56607e53c",
+    (8, None): "a1dfb7d80efeb11cf145383d8de4e7f7aae9d19308279afc4432058e6221adc2",
+    (8, 16): "6bd646faa19da5c98840f23e5bba66779a55278e0ba4ff1663c2ccebd5bef1a8",
+}
+
+
+def test_table_bytes_pinned():
+    for (support, cap), digest in TABLE_DIGESTS.items():
+        text = coefficient_tables(support, weight_cap=cap).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (support, cap)
+
+
 def test_support_four_table_frozen():
     t = coefficient_tables(4, weight_cap=None)
     expected = {
@@ -253,8 +343,42 @@ def test_table_json_round_trip():
     back = CoefficientTable.from_json(tab.to_json())
     assert back.entries == tab.entries
     assert back.support == 5 and back.weight_cap == 10
+    assert back.to_json() == tab.to_json()
+    uncapped = coefficient_tables(6, weight_cap=None)
+    assert CoefficientTable.from_json(uncapped.to_json()).to_json() == uncapped.to_json()
     with pytest.raises(ParseError):
         CoefficientTable.from_json('{"entries": [{"i": [1], "j": "x"}]}')
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"c": 2.7},
+        {"c": -4},
+        {"c": 0},
+        {"c": True},
+        {"i": [True, 2], "j": [2]},
+        {"i": [2.0, 2], "j": [3]},
+        {"duplicate": True},
+        {"weight_cap": "x"},
+        {"weight_cap": 1e400},
+        {"weight_cap": 10.0},
+        {"support": "5"},
+    ],
+)
+def test_table_json_rejects_malformed(edit):
+    doc = json.loads(coefficient_tables(4, weight_cap=10).to_json())
+    row = doc["entries"][0]
+    for key in ("c", "i", "j"):
+        if key in edit:
+            row[key] = edit[key]
+    if "duplicate" in edit:
+        doc["entries"].append(dict(doc["entries"][0], c=5))
+    for key in ("weight_cap", "support"):
+        if key in edit:
+            doc[key] = edit[key]
+    with pytest.raises(ParseError):
+        CoefficientTable.from_json(json.dumps(doc))
 
 
 # --- cluster sums -----------------------------------------------------

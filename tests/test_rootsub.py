@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from loopfact.laurent import CircleGrid, LaurentSeries, apply_sigma, star, unitarity_defect
-from loopfact.rootsub import (
-    RootParams,
-    a_factor,
-    coefficient_bound,
-    elementary_factor,
-    gammadelta_coeffs,
-    integer_partitions,
-    partial_product,
-)
+from loopfact.rootsub import RootParams, a_factor, elementary_factor, partial_product
+
+from oracles import coefficient_bound, gammadelta_coeffs, integer_partitions
 
 
 def random_params(rng, side, support, mag=0.6):
