@@ -1,4 +1,9 @@
-"""Root-subgroup and triangular factorization of SU(2)-valued loops."""
+"""Root-subgroup and triangular factorization of SU(2)-valued loops.
+
+The package namespace holds the error taxonomy and the names of the README
+quick start; everything else is imported from its module, e.g.
+``from loopfact.laurent import LaurentSeries``.
+"""
 
 from .errors import (
     BadNormalization,
@@ -17,69 +22,9 @@ from .errors import (
     VanishingSymbol,
     ZeroConstantTerm,
 )
-from .laurent import (
-    CircleGrid,
-    LaurentSeries,
-    LoopMatrix,
-    apply_sigma,
-    cleanup,
-    invert_series,
-    loop_from_json,
-    loop_to_json,
-    project,
-    series_from_json,
-    series_to_json,
-    star,
-    truncate,
-    unitarity_defect,
-)
-from .rootsub import (
-    RootParams,
-    a_factor,
-    elementary_factor,
-    partial_product,
-)
-from .toeplitz import (
-    TriangularFactors,
-    birkhoff,
-    compress,
-    det_AstarA,
-    direct_shifted,
-    scalar_compress,
-    toeplitz_index,
-    triangular,
-    winding_number,
-)
-from .factor import (
-    K2Triangular,
-    RootSubgroupData,
-    compose_rootsub,
-    composed_lu,
-    eta_from_loop,
-    exp_series,
-    k2_from_x,
-    k2_triangular_from_cd,
-    lambda_loop,
-    lambda_series,
-    reconstruct_lu,
-    rootsub_factorize,
-    verify_identities,
-    x_leastsquares,
-    zeta_from_loop,
-)
-from .combinat import (
-    CoefficientTable,
-    IndexPair,
-    b_sum,
-    certify_tables,
-    cluster_coefficient,
-    coefficient_tables,
-    enumerate_decompositions,
-    full_x,
-    s_identity_check,
-    subindex_reductions,
-    x1_recursion,
-    zeta1_four_vars,
-)
+from .rootsub import RootParams, partial_product
+from .toeplitz import det_AstarA
+from .factor import rootsub_factorize
+from .combinat import full_x
 
 __version__ = "0.1.0"

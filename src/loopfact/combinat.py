@@ -353,9 +353,6 @@ class CoefficientTable:
     support: int = 0
     weight_cap: int | None = None
 
-    def group(self, n: int) -> dict:
-        return {p: c for p, c in self.entries.items() if p.i[0] == n}
-
     def evaluate_group(self, n: int, values, conjugates=None):
         """Evaluate the group-n polynomial at values[index] over any ring
         whose elements multiply with ints; conjugates default to
@@ -396,9 +393,12 @@ class CoefficientTable:
     def from_json(text: str) -> "CoefficientTable":
         """Inverse of to_json; anything to_json cannot write (a float,
         boolean or non-positive coefficient, a repeated pair, a
-        non-integer support or cap) raises ParseError."""
+        non-integer support or cap, an index above support, a weight
+        above the cap, a schema_version other than 1) raises ParseError."""
         try:
             data = json.loads(text)
+            if _json_int(data["schema_version"], "schema_version", 1) != 1:
+                raise ParseError(f"schema_version {data['schema_version']} is not 1")
             support = _json_int(data["support"], "support", 0)
             cap = data["weight_cap"]
             if cap is not None:
@@ -409,6 +409,10 @@ class CoefficientTable:
                     tuple(_json_int(v, "index", 1) for v in row["i"]),
                     tuple(_json_int(v, "index", 1) for v in row["j"]),
                 )
+                if max(pair.i + pair.j) > support:
+                    raise ParseError(f"entry {pair.i}/{pair.j} indexes past support {support}")
+                if cap is not None and pair.weight > cap:
+                    raise ParseError(f"entry {pair.i}/{pair.j} weighs above cap {cap}")
                 if pair in entries:
                     raise ParseError(f"duplicate entry for {pair.i}/{pair.j}")
                 entries[pair] = _json_int(row["c"], "coefficient", 1)

@@ -47,7 +47,7 @@ from .laurent import (
     apply_sigma,
     finite_complex,
     invert_series,
-    max_norm,
+    product_defect,
     project,
     series_from_json,
     series_to_json,
@@ -99,7 +99,7 @@ def exp_series(f: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
         raise ValueError("empty window")
     deg = 0 if f.is_zero else max(abs(f.min_power), abs(f.max_power))
     grid = CircleGrid.for_width(2 * (hi - lo + 1) + 8 * deg + 64)
-    vals = np.exp(f.evaluate(grid.points))
+    vals = np.exp(grid.synthesize(f))
     return grid.analyze(vals, lo, hi)
 
 
@@ -541,9 +541,9 @@ def rootsub_factorize(
     except (NotInvertible, ShiftedNotInvertible) as e:
         raise NotFactorizable(str(e)) from e
 
-    pts = grid.points
-    lv = tf.l.evaluate(pts)
-    uv = tf.u.evaluate(pts)
+    # every series synthesized below spans at most 2 N + deg + 1 <= need powers
+    lv = grid.synthesize_loop(tf.l)
+    uv = grid.synthesize_loop(tf.u)
     Dl = np.abs(lv[:, 0, 0]) ** 2 + np.abs(lv[:, 1, 0]) ** 2
     Du = np.abs(uv[:, 1, 0]) ** 2 + np.abs(uv[:, 1, 1]) ** 2
     if Dl.min() < 1e-15 or Du.min() < 1e-15:
@@ -577,13 +577,12 @@ def rootsub_factorize(
     zeta = _trim_trailing(zeta_from_loop(k2, n_max, tol=tol))
     eta = _trim_trailing(eta_from_loop(k1, n_max, tol=tol))
 
-    chi_vals = chi.evaluate(pts)
+    chi_vals = grid.synthesize(chi)
     lam_vals = np.exp(-np.conj(chi_vals) + chi0 + chi_vals)
     mid = np.zeros((grid.point_count, 2, 2), dtype=complex)
     mid[:, 0, 0] = lam_vals
     mid[:, 1, 1] = 1.0 / lam_vals
-    rec = np.conj(np.swapaxes(k1.evaluate(pts), -1, -2)) @ mid @ k2.evaluate(pts)
-    residual = max_norm(g.evaluate(pts) - rec)
+    residual = product_defect(g, [k1.adjoint(), mid, k2], grid)
     return RootSubgroupData(eta, chi0, chi, zeta, residual, consistency)
 
 
@@ -598,7 +597,6 @@ def reconstruct_lu(
     a0: float,
     m0: complex = 1.0,
     order: int | None = None,
-    grid: CircleGrid | None = None,
     tol: float = 1e-9,
 ) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries, LaurentSeries]:
     """Dependent entries (l12, l22, u12, u11) from the four determining ones.
@@ -619,14 +617,8 @@ def reconstruct_lu(
     indeg = max(degs)
     if order is None:
         order = indeg + 16
-    need = 2 * (order + indeg) + 2
-    if grid is None or grid.point_count < need:
-        grid = CircleGrid.for_width(need)
-    pts = grid.points
-    l11v = l11.evaluate(pts)
-    l21v = l21.evaluate(pts)
-    u21v = u21.evaluate(pts)
-    u22v = u22.evaluate(pts)
+    grid = CircleGrid.for_width(2 * (order + indeg) + 2)
+    l11v, l21v, u21v, u22v = (grid.synthesize(f) for f in (l11, l21, u21, u22))
     D = np.abs(l11v) ** 2 + np.abs(l21v) ** 2
     if D.min() < tol:
         raise DenominatorVanishes(f"|l11|^2 + |l21|^2 reaches {D.min():.3e}")
@@ -739,24 +731,27 @@ def verify_identities(
         )
     )
 
-    A = compress(k2, N, "toeplitz").matrix
-    C = compress(k2, N, "hankel_C").matrix
+    A = compress(k2, N, "toeplitz")
+    C = compress(k2, N, "hankel_C")
     Z = C @ np.linalg.inv(A)
     minus_factor = LoopMatrix(
         LaurentSeries.one(), star(t2.x), LaurentSeries.zero(), LaurentSeries.one()
     )
-    C_minus = compress(minus_factor, N, "hankel_C").matrix
+    C_minus = compress(minus_factor, N, "hankel_C")
     report.append(_matrix_line("hankel_quotient_vs_minus_part", Z, C_minus, tol))
 
+    # row block r lives at power -(r+1), column block c at power c; only
+    # the (1,2) component of each block carries x, conjugated, at power
+    # r + c + 1.  Built from x's own coefficients, independent of compress.
+    x_win = truncate(t2.x, 1, 2 * N + 1)
+    xs = np.zeros(2 * N + 2, dtype=complex)
+    xs[x_win.min_power : x_win.max_power + 1] = x_win.coefficients
+    blk = np.arange(N + 1)
     pattern = np.zeros_like(C_minus)
-    for rblk in range(N + 1):
-        for cblk in range(N + 1):
-            # rows live at power -(rblk+1), columns at power cblk; only the
-            # (1,2) component of each block carries the conjugated x entry
-            pattern[2 * rblk, 2 * cblk + 1] = t2.x.coeff(cblk + rblk + 1).conjugate()
+    pattern[0::2, 1::2] = xs[blk[:, None] + blk[None, :] + 1].conj()
     report.append(_matrix_line("minus_part_hankel_x_pattern", C_minus, pattern, tol))
 
-    S = compress(g, N, "shifted").matrix
+    S = compress(g, N, "shifted")
     report.append(
         _matrix_line("shifted_compression_vs_sigma", S, direct_shifted(g, N), tol)
     )

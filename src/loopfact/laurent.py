@@ -5,7 +5,8 @@ Contents:
   LoopMatrix     -- 2x2 matrix of LaurentSeries, entries named a, b, c, d
   CircleGrid     -- uniform grid on |z| = 1 with FFT analysis/synthesis
                     of series and of loops
-  star, project, invert_series, apply_sigma, unitarity_defect, max_norm
+  star, project, invert_series, apply_sigma, unitarity_defect
+  max_norm, product_defect -- grid defects: largest 2x2 spectral norm
   JSON (de)serialization for series and loops
 
 Coefficients are stored as a contiguous block from min_power upward; exact
@@ -15,9 +16,11 @@ cleanup(f, tol) to drop small coefficients.
 
 Arithmetic runs in numpy on the coefficient block.  For series with n and m
 coefficients: a sum costs O(n + m), a product one np.convolve, O(n m);
-evaluation at P points is one np.polyval pass, O(n P), and on a P-point
-CircleGrid one inverse FFT, O(P log P); invert_series to order K costs K
-dot products of length <= deg d, O(K deg d).
+invert_series to order K costs K dot products of length <= deg d,
+O(K deg d).  Values on a P-point CircleGrid come from one inverse FFT,
+O(P log P), and every grid caller in the package reads them that way;
+LaurentSeries.evaluate, one np.polyval pass, O(n P), is for points off
+a grid.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = [
     "invert_series",
     "apply_sigma",
     "unitarity_defect",
+    "max_norm",
+    "product_defect",
     "cleanup",
     "truncate",
     "series_to_json",
@@ -170,15 +175,12 @@ class LaurentSeries:
             return self
         return LaurentSeries(self.min_power + k, self.coefficients)
 
-    def conjugate_coefficients(self) -> "LaurentSeries":
-        """Conjugate each coefficient without moving powers (not the star)."""
-        return LaurentSeries(self.min_power, self.array.conj())
-
     # --- evaluation ---------------------------------------------------
 
     def evaluate(self, z):
-        """Evaluate at points z (scalar or ndarray): Horner from the top
-        power by np.polyval, then one factor z^min_power."""
+        """Evaluate at points z (scalar or ndarray) off a grid: Horner from
+        the top power by np.polyval, then one factor z^min_power.  On a
+        CircleGrid use CircleGrid.synthesize, one inverse FFT."""
         z = np.asarray(z, dtype=complex)
         return np.polyval(self.array[::-1], z) * z ** float(self.min_power)
 
@@ -249,16 +251,6 @@ class LoopMatrix:
             truncate(self.c, lo, hi),
             truncate(self.d, lo, hi),
         )
-
-    def evaluate(self, z) -> np.ndarray:
-        """Values at points z; returns shape z.shape + (2, 2)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = self.a.evaluate(z)
-        out[..., 0, 1] = self.b.evaluate(z)
-        out[..., 1, 0] = self.c.evaluate(z)
-        out[..., 1, 1] = self.d.evaluate(z)
-        return out
 
 
 # --- module-level operations ------------------------------------------
@@ -409,11 +401,29 @@ def max_norm(values: np.ndarray) -> float:
     return float(np.linalg.svd(values, compute_uv=False)[..., 0].max())
 
 
+def product_defect(g: LoopMatrix, factors: list, grid: CircleGrid) -> float:
+    """max_k ||g(z_k) - prod factors(z_k)||_2.
+
+    A factor is a loop, a constant (2, 2) array or an array of its values
+    on the grid, shape (point_count, 2, 2).  Loops are evaluated by inverse
+    FFT, so each must fit the grid (ValueError otherwise)."""
+    acc = None
+    for f in factors:
+        vals = (
+            np.broadcast_to(f, (grid.point_count, 2, 2))
+            if isinstance(f, np.ndarray)
+            else grid.synthesize_loop(f)
+        )
+        acc = vals.copy() if acc is None else acc @ vals
+    return max_norm(grid.synthesize_loop(g) - acc)
+
+
 def unitarity_defect(g: LoopMatrix, grid: CircleGrid | None = None) -> float:
-    """max_k || g(z_k)^H g(z_k) - I ||_2 over the grid."""
+    """max_k || g(z_k)^H g(z_k) - I ||_2 over the grid (512 points by
+    default); ValueError when an entry of g does not fit the grid."""
     if grid is None:
         grid = CircleGrid()
-    vals = g.evaluate(grid.points)
+    vals = grid.synthesize_loop(g)
     gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
     gram[..., 0, 0] -= 1.0
     gram[..., 1, 1] -= 1.0

@@ -36,13 +36,12 @@ from .laurent import (
     LoopMatrix,
     apply_sigma,
     invert_series,
-    max_norm,
+    product_defect,
     star,
     truncate,
 )
 
 __all__ = [
-    "ToeplitzTruncation",
     "compress",
     "scalar_compress",
     "direct_shifted",
@@ -56,15 +55,6 @@ __all__ = [
 ]
 
 _KINDS = ("toeplitz", "shifted", "hankel_B", "hankel_C")
-
-
-@dataclass(frozen=True)
-class ToeplitzTruncation:
-    """A finite compression; matrix is 2(N+1) x 2(N+1), kind names the corner."""
-
-    matrix: np.ndarray
-    block_count: int
-    kind: str
 
 
 def coefficient_table(entries, lo: int, hi: int) -> np.ndarray:
@@ -101,8 +91,8 @@ def _corner(kind: str, N: int) -> tuple[np.ndarray, np.ndarray]:
     return {"hankel_B": (plus, minus), "hankel_C": (minus, plus)}.get(kind, (plus, plus))
 
 
-def compress(g: LoopMatrix, N: int, kind: str = "toeplitz") -> ToeplitzTruncation:
-    """Corner of the multiplication operator of g.
+def compress(g: LoopMatrix, N: int, kind: str = "toeplitz") -> np.ndarray:
+    """Corner of the multiplication operator of g, a 2(N+1) x 2(N+1) matrix.
 
     kind "toeplitz" compresses to span{e_i z^k : 0 <= k <= N}; "shifted" is
     the same corner for sigma(g); "hankel_B" maps powers -1..-(N+1) into
@@ -115,7 +105,7 @@ def compress(g: LoopMatrix, N: int, kind: str = "toeplitz") -> ToeplitzTruncatio
         raise ValueError("N must be nonnegative")
     if kind == "shifted":
         g = apply_sigma(g)
-    return ToeplitzTruncation(gather(g.entries(), *_corner(kind, N)), N + 1, kind)
+    return gather(g.entries(), *_corner(kind, N))
 
 
 def scalar_compress(f: LaurentSeries, N: int, kind: str = "toeplitz") -> np.ndarray:
@@ -259,7 +249,7 @@ def _structured_corner(g: LoopMatrix, N: int) -> _Corner | None:
 
 def det_AstarA(g: LoopMatrix, N: int) -> float:
     """Magnitude |det A_N(g)| = det(A_N^* A_N)^(1/2) of the plus compression."""
-    sign, logabs = np.linalg.slogdet(compress(g, N, "toeplitz").matrix)
+    sign, logabs = np.linalg.slogdet(compress(g, N, "toeplitz"))
     if sign == 0:
         return 0.0
     return float(np.exp(logabs))
@@ -276,21 +266,6 @@ class BirkhoffFactors:
     rcond: float
     minus_spill: float
     route: str
-
-
-def _product_defect(g: LoopMatrix, factors: list, grid: CircleGrid) -> float:
-    """max_k ||g(z_k) - prod factors(z_k)||_2; factors are loops or constants.
-
-    Loops are evaluated by inverse FFT, so each must fit the grid."""
-    acc = None
-    for f in factors:
-        vals = (
-            np.broadcast_to(f, (grid.point_count, 2, 2))
-            if isinstance(f, np.ndarray)
-            else grid.synthesize_loop(f)
-        )
-        acc = vals.copy() if acc is None else acc @ vals
-    return max_norm(grid.synthesize_loop(g) - acc)
 
 
 def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
@@ -311,7 +286,7 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
     if corner is not None and corner.decides(tol):
         route, rcond = "structured", corner.rcond
     else:
-        route, A = "dense", compress(g, N, "toeplitz").matrix
+        route, A = "dense", compress(g, N, "toeplitz")
         sv = np.linalg.svd(A, compute_uv=False)
         rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     if not np.isfinite(rcond) or rcond < tol:
@@ -353,7 +328,7 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
     g_minus = raw_minus.truncate(-(g.max_degree() + N), 0)
 
     grid = CircleGrid.for_width(2 * (N + g.max_degree()) + 2)
-    residual = _product_defect(g, [g_minus, g_zero, g_plus], grid)
+    residual = product_defect(g, [g_minus, g_zero, g_plus], grid)
     return BirkhoffFactors(g_minus, g_zero, g_plus, residual, rcond, spill, route)
 
 
@@ -396,18 +371,20 @@ def triangular(g: LoopMatrix, N: int, tol: float = 1e-10) -> TriangularFactors:
     a_zero = float(abs(alpha))
     middle = np.array([[alpha, 0.0], [0.0, 1.0 / alpha]], dtype=complex)
     grid = CircleGrid.for_width(2 * (N + g.max_degree()) + 2)
-    residual = _product_defect(g, [l, middle, u], grid)
+    residual = product_defect(g, [l, middle, u], grid)
     return TriangularFactors(l, complex(m_zero), a_zero, u, residual)
 
 
 def winding_number(f: LaurentSeries, grid: CircleGrid | None = None, tol: float = 1e-9) -> int:
-    """Degree of f restricted to the circle, by summed phase increments.
+    """Degree of f restricted to the circle, by summed phase increments
+    over the grid (512 points by default).
 
-    Raises VanishingSymbol when |f| dips below tol on the grid.
+    Raises VanishingSymbol when |f| dips below tol on the grid, and
+    ValueError when f does not fit the grid.
     """
     if grid is None:
         grid = CircleGrid()
-    vals = f.evaluate(grid.points)
+    vals = grid.synthesize(f)
     mags = np.abs(vals)
     if mags.min() < tol:
         raise VanishingSymbol(

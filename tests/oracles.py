@@ -1,8 +1,9 @@
 """Reference implementations the package used before its fast kernels.
 
 Each is the plain-Python route, kept only so tests can check the kernels
-against it: coefficient convolution and Horner evaluation for series,
-the per-block builder for compressions, peeling by one dense 2x2 series
+against it: coefficient convolution for series, Horner evaluation for
+series and loops (the package reads grid values by inverse FFT), the
+per-block builder for compressions, peeling by one dense 2x2 series
 product per step, and the exact polynomial keyed by sorted (index,
 exponent) tuples that the packed-int monomials replaced.  The closed
 chain sums for the lower-family product and their partition bound are
@@ -48,6 +49,16 @@ def horner(f: LaurentSeries, z) -> np.ndarray:
         for n in range(f.max_power, f.min_power - 1, -1):
             out = out * z + f.coeff(n)
         out = out * z ** float(f.min_power)
+    return out
+
+
+def horner_loop(g: LoopMatrix, z) -> np.ndarray:
+    """Values of the loop g at points z by horner on each entry; shape
+    z.shape + (2, 2)."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape + (2, 2), dtype=complex)
+    for k, f in enumerate(g.entries()):
+        out[..., k // 2, k % 2] = horner(f, z)
     return out
 
 

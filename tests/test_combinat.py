@@ -364,6 +364,11 @@ def test_table_json_round_trip():
         {"weight_cap": 1e400},
         {"weight_cap": 10.0},
         {"support": "5"},
+        {"i": [3, 3, 3, 3], "j": [3, 4, 4]},  # weight 12 above the cap 10
+        {"i": [1, 5], "j": [5]},  # index 5 above support 4
+        {"schema_version": 7},
+        {"schema_version": True},
+        {"drop": "schema_version"},
     ],
 )
 def test_table_json_rejects_malformed(edit):
@@ -374,9 +379,10 @@ def test_table_json_rejects_malformed(edit):
             row[key] = edit[key]
     if "duplicate" in edit:
         doc["entries"].append(dict(doc["entries"][0], c=5))
-    for key in ("weight_cap", "support"):
+    for key in ("weight_cap", "support", "schema_version"):
         if key in edit:
             doc[key] = edit[key]
+    doc.pop(edit.get("drop"), None)
     with pytest.raises(ParseError):
         CoefficientTable.from_json(json.dumps(doc))
 

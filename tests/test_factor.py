@@ -20,7 +20,7 @@ from loopfact.laurent import (
     unitarity_defect,
 )
 from loopfact.rootsub import RootParams, partial_product
-from loopfact.toeplitz import triangular
+from loopfact.toeplitz import triangular, winding_number
 from loopfact.factor import (
     RootSubgroupData,
     compose_rootsub,
@@ -84,7 +84,7 @@ def test_exp_series_matches_pointwise_exponential():
 def test_lambda_series_unimodular_for_imaginary_chi0():
     chi = LaurentSeries.from_dict({1: 0.2, 2: -0.1j})
     lam = lambda_series(chi, 0.4j, 30)
-    vals = lam.evaluate(CircleGrid(128).points)
+    vals = oracles.horner(lam, CircleGrid(128).points)
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
     loop = lambda_loop(chi, 0.4j, 30)
     assert unitarity_defect(loop, CircleGrid(128)) < 1e-12
@@ -285,6 +285,73 @@ def test_factorize_rejects_nonunitary_and_nonfactorizable():
     d = LaurentSeries.from_dict(terms)
     with pytest.raises(NotFactorizable):
         rootsub_factorize(LoopMatrix.diagonal(star(d), d), 48)
+
+
+# --- grid evaluation --------------------------------------------------
+
+
+def coeff_window(*series, w=80):
+    return [f.coeff(n) for f in series for n in range(-w, w + 1)]
+
+
+def factorized():
+    rec = rootsub_factorize(compose_rootsub(generic_data(3), order=40), 32)
+    return (
+        [rec.eta.value_at(k) for k in range(0, 6)]
+        + [rec.zeta.value_at(k) for k in range(1, 7)]
+        + [rec.chi0, rec.residual, rec.consistency_defect]
+        + coeff_window(rec.chi)
+    )
+
+
+def reconstructed():
+    tf = triangular(compose_rootsub(generic_data(7), order=40), 32)
+    return coeff_window(
+        *reconstruct_lu(tf.l.a, tf.l.c, tf.u.c, tf.u.d, tf.a_zero, m0=tf.m_zero, order=40)
+    )
+
+
+# each caller that reads values on a circle grid, reduced to numbers
+GRID_CALLERS = {
+    "exp_series": lambda: coeff_window(
+        exp_series(LaurentSeries.from_dict({-2: 0.1j, 1: 0.3, 3: -0.05 + 0.02j}), -25, 25)
+    ),
+    "rootsub_factorize": factorized,
+    "reconstruct_lu": reconstructed,
+    "unitarity_defect": lambda: [
+        unitarity_defect(compose_rootsub(generic_data(1), order=40).scale(1.05), CircleGrid(256))
+    ],
+    "winding_number": lambda: [
+        winding_number(f, CircleGrid(256))
+        for f in (
+            LaurentSeries.from_dict({-2: 1.0, 1: 0.3, 2: 0.1j}),
+            LaurentSeries.from_dict({0: 0.4, 3: 1.0}),
+            lambda_series(LaurentSeries.from_dict({1: 0.2, 2: -0.1j}), 0.4j, 30),
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("caller", sorted(GRID_CALLERS))
+def test_grid_callers_match_horner_oracle(monkeypatch, caller):
+    got = np.array(GRID_CALLERS[caller]())
+    # the same caller again, every grid value read by the Horner oracle
+    monkeypatch.setattr(CircleGrid, "synthesize", lambda grid, f: oracles.horner(f, grid.points))
+    monkeypatch.setattr(
+        CircleGrid, "synthesize_loop", lambda grid, g: oracles.horner_loop(g, grid.points)
+    )
+    want = np.array(GRID_CALLERS[caller]())
+    assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+
+def test_short_caller_grid_raises_or_widens():
+    g = compose_rootsub(generic_data(3), order=40)
+    short = CircleGrid(16)
+    with pytest.raises(ValueError, match="exceeds grid"):
+        unitarity_defect(g, short)
+    with pytest.raises(ValueError, match="exceeds grid"):
+        winding_number(g.d, short)
+    assert rootsub_factorize(g, 32, grid=short) == rootsub_factorize(g, 32)
 
 
 # --- reconstruction ---------------------------------------------------

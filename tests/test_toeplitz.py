@@ -42,20 +42,19 @@ def test_fourier_block_and_compress_layout():
     p = RootParams("zeta", (0.3, 0.2))
     g = partial_product(p)
     t = compress(g, 3)
-    assert t.matrix.shape == (8, 8)
-    assert t.block_count == 4 and t.kind == "toeplitz"
+    assert t.shape == (8, 8)
     # block (j, k) must be the z^{j-k} coefficient matrix
     for j in range(4):
         for k in range(4):
             want = fourier_block(g, j - k)
-            got = t.matrix[2 * j : 2 * j + 2, 2 * k : 2 * k + 2]
+            got = t[2 * j : 2 * j + 2, 2 * k : 2 * k + 2]
             assert np.max(np.abs(got - want)) == 0.0
 
 
 def test_hankel_corners_layout():
     g = partial_product(RootParams("zeta", (0.4,)))
-    b = compress(g, 2, "hankel_B").matrix
-    c = compress(g, 2, "hankel_C").matrix
+    b = compress(g, 2, "hankel_B")
+    c = compress(g, 2, "hankel_C")
     for j in range(3):
         for q in range(3):
             assert np.max(np.abs(b[2 * j : 2 * j + 2, 2 * q : 2 * q + 2] - fourier_block(g, j + q + 1))) == 0
@@ -80,7 +79,7 @@ def test_gathered_corners_match_block_builder(entries, N):
     g = LoopMatrix(*entries)
     # a gather only copies coefficients, so the match is exact
     for kind in ("toeplitz", "shifted", "hankel_B", "hankel_C"):
-        assert np.array_equal(compress(g, N, kind).matrix, oracles.compress(g, N, kind))
+        assert np.array_equal(compress(g, N, kind), oracles.compress(g, N, kind))
     zero = LaurentSeries.zero()
     scalar = LoopMatrix(g.a, zero, zero, zero)
     for kind in ("toeplitz", "hankel_B", "hankel_C"):
@@ -109,7 +108,7 @@ def test_shifted_compression_equals_direct_construction():
     vals = tuple(0.4 * 0.5**k * np.exp(2j * np.pi * rng.uniform()) for k in range(3))
     g = partial_product(RootParams("zeta", vals))
     for N in (0, 1, 4, 8):
-        assert np.max(np.abs(compress(g, N, "shifted").matrix - direct_shifted(g, N))) == 0.0
+        assert np.max(np.abs(compress(g, N, "shifted") - direct_shifted(g, N))) == 0.0
 
 
 def test_birkhoff_factors_normalized_and_accurate():
@@ -213,7 +212,7 @@ def end_blocks(g: LoopMatrix) -> tuple[int, int]:
 
 def dense_reference(g: LoopMatrix, N: int):
     """rcond and A^{-1} [e_1, e_2] of the dense corner, by numpy."""
-    A = compress(g, N).matrix
+    A = compress(g, N)
     sv = np.linalg.svd(A, compute_uv=False)
     rhs = np.zeros((A.shape[0], 2), dtype=complex)
     rhs[0, 0] = rhs[1, 1] = 1.0
@@ -240,7 +239,7 @@ def gram_extremes(g: LoopMatrix, N: int) -> tuple[float, float]:
     lo, hi = end_blocks(g)
     blocks = list(range(lo)) + list(range(N + 1 - hi, N + 1))
     cols = [2 * b + c for b in blocks for c in (0, 1)]
-    A = compress(g, N).matrix[:, cols]
+    A = compress(g, N)[:, cols]
     lam = np.linalg.eigvalsh(A.conj().T @ A)
     return min(1.0, lam[0]), max(1.0, lam[-1])
 
