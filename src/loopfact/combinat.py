@@ -35,12 +35,12 @@ partial sums g_d and products r_j g_(d-j) are sub-sums of the same
 expansions, with barred degree <= plain degree <= m.  So exponents are
 at most S and plain weights at most S^2 (S^2 - S + 1 is reached).  A
 weight cap only drops monomials, since weights add and are nonnegative.
-Division by z_n lowers a field; uncapped, division by 1 + z_k zb_k forms
+Division by z_n lowers a field, and division by 1 + z_k zb_k forms
 slices of the exact quotient, whose monomials divide the dividend's.
-Capped, its tail holds junk products of plain weight <= cap, and every
-monomial of group n has plain - barred weight = 1 - n, so barred weight
-< cap + S.  Every field thus stays at most max(S^2, cap + S): 16-bit
-fields hold S <= 181 and any cap below 32768 - S.
+coefficient_tables caps group n at cap - n, the weights it certifies,
+before dividing; quotient weight w reads only dividend weights <= w, so
+every capped slice is the part of the exact slice up to that cap.  Every
+field thus stays at most S^2: 16-bit fields hold S <= 181 at any cap.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def b_sum(params: RootParams, n: int, m: int) -> complex:
 # --- exact polynomials, conjugates as independent letters -------------
 
 # Width B of one packed monomial field; its top bit is the guard.  The
-# module docstring proves every field stays at most max(S^2, cap + S).
+# module docstring proves every field stays at most S^2.
 _FIELD_BITS = 16
 
 
@@ -291,8 +291,8 @@ def _divide_one_plus_u(poly, idx):
         part = _Poly(by_ord.get(d, {}), poly.cap) + minus_u * part
         result = result + part
     # quotient weight w only reads dividend weights <= w, so under a cap
-    # the result is right below the cap even though the tail is junk;
-    # exact mode demands a clean multiply-back
+    # every term is a term of the exact quotient; exact mode demands a
+    # clean multiply-back
     if poly.cap is None and not result == poly + minus_u * result:
         raise ConsistencyViolation(
             f"division by 1 + |z_{idx}|^2 left a remainder"
@@ -434,8 +434,8 @@ def coefficient_tables(support: int, weight_cap: int | None = 12) -> Coefficient
     Groups are peeled in ascending index order: every monomial holding
     index n belongs to group n because later groups involve only larger
     indices.  Division by the group letter and the paired factors is
-    exact; entries above the weight cap are dropped since capped
-    arithmetic does not certify them.
+    exact; under a weight cap, group n divides at cap - n, so the
+    divisions compute only the entries the capped expansion certifies.
     """
     if support < 1:
         raise ValueError("support must be at least 1")
@@ -450,17 +450,10 @@ def coefficient_tables(support: int, weight_cap: int | None = 12) -> Coefficient
         remainder = {k: c for k, c in remainder.items() if k not in sel}
         if not sel:
             continue
-        group = _Poly(sel, weight_cap)
+        group = _Poly(sel, None if weight_cap is None else weight_cap - n)
         s_poly = _divide_by_letter(group, n)
         for k in range(n + 1, support + 1):
             s_poly = _divide_one_plus_u(s_poly, k)
-        if weight_cap is not None:
-            # divisions consumed weight n, so only this region is certified
-            wmask = (1 << _FIELD_BITS) - 1
-            s_poly = _Poly(
-                {k: c for k, c in s_poly.terms.items() if k & wmask <= weight_cap - n},
-                weight_cap,
-            )
         if n == 1:
             if not s_poly == 1:
                 raise ConsistencyViolation("group 1 must reduce to the constant 1")
@@ -472,8 +465,6 @@ def coefficient_tables(support: int, weight_cap: int | None = 12) -> Coefficient
             if len(itail) != len(jlist):
                 raise ConsistencyViolation("unbalanced monomial in a group table")
             pair = IndexPair((n,) + itail, jlist)
-            if weight_cap is not None and pair.weight > weight_cap:
-                continue
             if not isinstance(c, int) or c <= 0:
                 raise ConsistencyViolation(
                     f"coefficient for {pair.i}/{pair.j} is {c!r}, not a positive integer"

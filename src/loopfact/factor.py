@@ -45,6 +45,7 @@ from .laurent import (
     LaurentSeries,
     LoopMatrix,
     apply_sigma,
+    check_squarable,
     finite_complex,
     invert_series,
     product_defect,
@@ -293,10 +294,11 @@ def k2_from_x(x: LaurentSeries, N: int, tol: float = 1e-8) -> tuple[LoopMatrix, 
 
 # --- peeling ----------------------------------------------------------
 
+# Largest coefficient gap from the family's normal form that peeling accepts.
+_FORM_TOL = 1e-6
 
-def zeta_from_loop(
-    k2: LoopMatrix, n_max: int, tol: float = 1e-9, form_tol: float = 1e-6
-) -> RootParams:
+
+def zeta_from_loop(k2: LoopMatrix, n_max: int, tol: float = 1e-9) -> RootParams:
     """Recover the zeta parameters by peeling elementary factors.
 
     At step n the z^n coefficient of the (2,1) entry of the remainder equals
@@ -317,9 +319,9 @@ def zeta_from_loop(
     form_defect = max(
         (k2.a - star(k2.d)).coefficient_max(), (k2.b + star(k2.c)).coefficient_max()
     )
-    if form_defect > form_tol:
+    if form_defect > _FORM_TOL:
         raise BadNormalization(f"loop is not in lower-family form ({form_defect:.3e})")
-    _check_k2_entries(k2.c, k2.d, form_tol)
+    _check_k2_entries(k2.c, k2.d, _FORM_TOL)
     lo = -k2.max_degree() - n_max  # column j holds power lo + j
     rem = np.zeros((4, 1 - 2 * lo), dtype=complex)
     for row, f in zip(rem, k2.entries()):
@@ -350,9 +352,7 @@ def zeta_from_loop(
     return RootParams("zeta", tuple(values))
 
 
-def eta_from_loop(
-    k1: LoopMatrix, n_max: int, tol: float = 1e-9, form_tol: float = 1e-6
-) -> RootParams:
+def eta_from_loop(k1: LoopMatrix, n_max: int, tol: float = 1e-9) -> RootParams:
     """Recover the eta parameters of an upper-family product.
 
     The outer involution turns the upper-family product into a lower-family
@@ -362,9 +362,9 @@ def eta_from_loop(
     form_defect = max(
         (k1.d - star(k1.a)).coefficient_max(), (k1.c + star(k1.b)).coefficient_max()
     )
-    if form_defect > form_tol:
+    if form_defect > _FORM_TOL:
         raise BadNormalization(f"loop is not in upper-family form ({form_defect:.3e})")
-    zeta = zeta_from_loop(apply_sigma(k1), n_max + 1, tol=tol, form_tol=form_tol)
+    zeta = zeta_from_loop(apply_sigma(k1), n_max + 1, tol=tol)
     return RootParams("eta", zeta.values)
 
 
@@ -407,10 +407,12 @@ class RootSubgroupData:
     @staticmethod
     def from_json(doc: dict) -> "RootSubgroupData":
         try:
+            chi = series_from_json(doc["chi"])
+            check_squarable(chi.coefficients, "chi coefficient")
             return RootSubgroupData(
                 eta=RootParams.from_json(doc["eta"]),
                 chi0=finite_complex(doc["chi0"][0], doc["chi0"][1]),
-                chi=series_from_json(doc["chi"]),
+                chi=chi,
                 zeta=RootParams.from_json(doc["zeta"]),
                 residual=float(doc.get("residual", 0.0)),
                 consistency_defect=float(doc.get("consistency_defect", 0.0)),
@@ -499,6 +501,9 @@ def composed_lu(
 
 # --- full factorization ----------------------------------------------
 
+# Largest gap in the two-sided radial identity rootsub_factorize accepts.
+_CONSISTENCY_TOL = 1e-6
+
 
 def _trim_trailing(params: RootParams, cut: float = 1e-13) -> RootParams:
     # only machine zeros at the tail; interior zeros keep their slots
@@ -513,8 +518,6 @@ def rootsub_factorize(
     N: int,
     tol: float = 1e-9,
     grid: CircleGrid | None = None,
-    n_max: int | None = None,
-    consistency_tol: float = 1e-6,
 ) -> RootSubgroupData:
     """Recover (eta, chi0, chi, zeta) from a unitary loop.
 
@@ -527,7 +530,7 @@ def rootsub_factorize(
     and peeled down to their parameters.
 
     residual is the grid defect of g against k1^* lambda k2; the radial
-    consistency identity is measured and must stay below consistency_tol.
+    consistency identity is measured and must stay below 1e-6.
     """
     gdeg = g.max_degree()
     need = 2 * (N + gdeg) + 2
@@ -551,9 +554,9 @@ def rootsub_factorize(
     a1 = float(np.exp(-0.5 * np.mean(np.log(Dl))))
     a2 = float(np.exp(0.5 * np.mean(np.log(Du))))
     consistency = float(np.max(np.abs(Dl - Du / (a1 * a2) ** 2)))
-    if consistency > consistency_tol:
+    if consistency > _CONSISTENCY_TOL:
         raise ConsistencyViolation(
-            f"radial identity violated by {consistency:.3e} (tol {consistency_tol:.1e})"
+            f"radial identity violated by {consistency:.3e} (tol {_CONSISTENCY_TOL:.1e})"
         )
 
     re_chi = -np.log(a1) - 0.5 * np.log(Dl)
@@ -572,10 +575,8 @@ def rootsub_factorize(
     d_series = (1.0 / a2) * (e_chi * tf.u.d)
     k2 = LoopMatrix(star(d_series), -1.0 * star(c_series), c_series, d_series)
 
-    if n_max is None:
-        n_max = max(gdeg, 1)
-    zeta = _trim_trailing(zeta_from_loop(k2, n_max, tol=tol))
-    eta = _trim_trailing(eta_from_loop(k1, n_max, tol=tol))
+    zeta = _trim_trailing(zeta_from_loop(k2, max(gdeg, 1), tol=tol))
+    eta = _trim_trailing(eta_from_loop(k1, max(gdeg, 1), tol=tol))
 
     chi_vals = grid.synthesize(chi)
     lam_vals = np.exp(-np.conj(chi_vals) + chi0 + chi_vals)

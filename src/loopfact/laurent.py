@@ -450,6 +450,15 @@ def finite_complex(re, im) -> complex:
     return val
 
 
+def check_squarable(values, what: str) -> None:
+    """Raise ParseError where abs(v) ** 2 overflows, i.e. |v| > ~1.34e154."""
+    for v in values:
+        try:
+            abs(v) ** 2
+        except OverflowError:
+            raise ParseError(f"{what} {v!r} is too large to square") from None
+
+
 def series_from_json(doc: dict) -> LaurentSeries:
     if not isinstance(doc, dict) or "terms" not in doc:
         raise ParseError("series document must be an object with a 'terms' list")

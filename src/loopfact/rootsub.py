@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .laurent import LaurentSeries, LoopMatrix, finite_complex
+from .laurent import LaurentSeries, LoopMatrix, check_squarable, finite_complex
 
 __all__ = [
     "RootParams",
@@ -95,6 +95,7 @@ class RootParams:
             raise ParseError(f"malformed root parameter document: {e}") from e
         if side not in ("zeta", "eta"):
             raise ParseError(f"side must be 'zeta' or 'eta', got {side!r}")
+        check_squarable(values, "root parameter")
         return RootParams(side, values)
 
 

@@ -262,7 +262,6 @@ class BirkhoffFactors:
     g_minus: LoopMatrix
     g_zero: np.ndarray
     g_plus: LoopMatrix
-    residual: float
     rcond: float
     minus_spill: float
     route: str
@@ -298,23 +297,16 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
     else:
         X = np.linalg.solve(A, np.eye(len(A), 2, dtype=complex))
 
-    def col_series(vec) -> tuple[LaurentSeries, LaurentSeries]:
-        return (
-            LaurentSeries(0, tuple(vec[0::2])),
-            LaurentSeries(0, tuple(vec[1::2])),
-        )
-
-    m11, m21 = col_series(X[:, 0])
-    m12, m22 = col_series(X[:, 1])
-    inv_gp = LoopMatrix(m11, m12, m21, m22)  # this is (g_zero g_plus)^{-1}
+    # (g_zero g_plus)^{-1}: entry (i, j) has the Taylor coefficients X[i::2, j]
+    inv_gp = LoopMatrix(*(LaurentSeries(0, tuple(X[i::2, j])) for i in (0, 1) for j in (0, 1)))
 
     det = truncate(inv_gp.det(), 0, N)
     inv_det = invert_series(det, N)
     h = LoopMatrix(
-        truncate(m22 * inv_det, 0, N),
-        truncate(-1.0 * m12 * inv_det, 0, N),
-        truncate(-1.0 * m21 * inv_det, 0, N),
-        truncate(m11 * inv_det, 0, N),
+        truncate(inv_gp.d * inv_det, 0, N),
+        truncate(-1.0 * inv_gp.b * inv_det, 0, N),
+        truncate(-1.0 * inv_gp.c * inv_det, 0, N),
+        truncate(inv_gp.a * inv_det, 0, N),
     )
     g_zero = np.array(
         [[h.a.coeff(0), h.b.coeff(0)], [h.c.coeff(0), h.d.coeff(0)]], dtype=complex
@@ -326,10 +318,7 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
         truncate(e, 1, None).coefficient_max() for e in raw_minus.entries()
     )
     g_minus = raw_minus.truncate(-(g.max_degree() + N), 0)
-
-    grid = CircleGrid.for_width(2 * (N + g.max_degree()) + 2)
-    residual = product_defect(g, [g_minus, g_zero, g_plus], grid)
-    return BirkhoffFactors(g_minus, g_zero, g_plus, residual, rcond, spill, route)
+    return BirkhoffFactors(g_minus, g_zero, g_plus, rcond, spill, route)
 
 
 @dataclass(frozen=True)
@@ -354,6 +343,9 @@ def triangular(g: LoopMatrix, N: int, tol: float = 1e-10) -> TriangularFactors:
     into g_minus and g_plus.  Raises ShiftedNotInvertible when the (1,1)
     entry of the constant factor is below tol in magnitude, which is exactly
     when the shifted compression degenerates.
+
+    residual is measured once, on the factors returned: the grid defect of
+    g against l * diag * u.
     """
     bf = birkhoff(g, N, tol)
     alpha = bf.g_zero[0, 0]
@@ -400,11 +392,15 @@ def winding_number(f: LaurentSeries, grid: CircleGrid | None = None, tol: float 
     return int(n)
 
 
-def _kernel_dim(m: np.ndarray, rel_tol: float = 1e-8) -> int:
+# Singular values below this fraction of the largest count as kernel.
+_KERNEL_RTOL = 1e-8
+
+
+def _kernel_dim(m: np.ndarray) -> int:
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return m.shape[1]
-    small = int(np.sum(sv < rel_tol * sv[0]))
+    small = int(np.sum(sv < _KERNEL_RTOL * sv[0]))
     return small + max(0, m.shape[1] - sv.size)
 
 

@@ -7,12 +7,14 @@ here are exactly what a shell user sees.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from loopfact import cli
 from loopfact.cli import main
+from loopfact.errors import ParseError
 from loopfact.factor import RootSubgroupData
 from loopfact.laurent import (
     CircleGrid,
@@ -361,6 +363,53 @@ def test_verify_eta_params_fixture_is_a_failing_row(tmp_path, capsys):
     assert by_file["eta.json"]["pass"] is False
     assert by_file["eta.json"]["error"]["type"] == "ParseError"
     assert by_file["good.json"]["pass"] is True
+
+
+def huge_documents(value):
+    """A params document with zeta_1 = value and a data document with
+    chi_1 = value."""
+    data = RootSubgroupData(
+        RootParams("eta", ()), 0.0, LaurentSeries.zero(), RootParams("zeta", (0.5,))
+    ).to_json()
+    data["chi"] = {"terms": [{"power": 1, "re": value, "im": 0.0}]}
+    return params_doc([value]), {"schema_version": 1, "kind": "data", "data": data}
+
+
+def test_verify_overflowing_parameters_are_failing_rows(tmp_path, capsys):
+    params, data = huge_documents(1e200)
+    write_json(tmp_path / "good.json", params_doc([0.5]))
+    write_json(tmp_path / "zeta.json", params)
+    write_json(tmp_path / "chi.json", data)
+    rc = main(["verify", "--fixtures", str(tmp_path), "--trunc", "8"])
+    assert rc == 1
+    by_file = {entry["file"]: entry for entry in json.loads(capsys.readouterr().out)["files"]}
+    assert sorted(by_file) == ["chi.json", "good.json", "zeta.json"]
+    assert by_file["good.json"]["pass"] is True
+    for name in ("zeta.json", "chi.json"):
+        assert by_file[name]["pass"] is False
+        assert by_file[name]["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["zeta", "chi"])
+def test_compose_overflowing_parameter_exits_two(tmp_path, capsys, which):
+    src = tmp_path / "doc.json"
+    write_json(src, huge_documents(1e200)[which])
+    assert main(["compose", "--params", str(src)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "too large" in err["message"]
+
+
+def test_squarable_bound_is_where_the_square_overflows():
+    edge = math.sqrt(sys.float_info.max)
+    assert math.isfinite(abs(complex(edge)) ** 2)
+    RootParams.from_json(params_doc([edge])["params"])
+    beyond = math.nextafter(edge, math.inf)
+    with pytest.raises(OverflowError):
+        abs(complex(beyond)) ** 2
+    for value in (beyond, complex(edge, edge), complex(sys.float_info.max, sys.float_info.max)):
+        with pytest.raises(ParseError):
+            RootParams.from_json(params_doc([value])["params"])
 
 
 # --- conjecture probe -------------------------------------------------

@@ -329,6 +329,33 @@ def test_capped_table_agrees_below_cap():
     assert capped.entries == {p: c for p, c in full.entries.items() if p.weight <= 10}
 
 
+def test_capped_divisions_compute_no_dropped_term(monkeypatch):
+    # the last division of group n (by 1 + z_S zb_S) returns exactly the
+    # terms that become group n's entries: none above weight cap - n
+    support = 6
+    group, last = [], {}
+    by_letter, by_pair = combinat._divide_by_letter, combinat._divide_one_plus_u
+
+    def letter(poly, idx):
+        group.append(idx)
+        return by_letter(poly, idx)
+
+    def pair(poly, idx):
+        out = by_pair(poly, idx)
+        if idx == support:
+            last[group[-1]] = out
+        return out
+
+    monkeypatch.setattr(combinat, "_divide_by_letter", letter)
+    monkeypatch.setattr(combinat, "_divide_one_plus_u", pair)
+    table = coefficient_tables(support, weight_cap=2 * support)
+    assert last.pop(1) == 1  # group 1 reduces to the constant 1
+    assert last
+    for n, poly in last.items():
+        entries = [c for p, c in table.entries.items() if p.i[0] == n]
+        assert sorted(poly.terms.values()) == sorted(entries), n
+
+
 def test_wide_capped_table_certified_properties():
     tab = coefficient_tables(9, weight_cap=10)
     assert len(tab.entries) == 18

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopfact.errors import NotInvertible, ShiftedNotInvertible, VanishingSymbol
-from loopfact.laurent import CircleGrid, LaurentSeries, LoopMatrix, star
+from loopfact.laurent import CircleGrid, LaurentSeries, LoopMatrix, product_defect, star
 from loopfact import toeplitz
 from loopfact.rootsub import RootParams, partial_product
 from loopfact.toeplitz import (
@@ -27,6 +27,13 @@ from oracles import fourier_block
 
 # frozen: prod (1+|zeta_n|^2)^(-n) for zeta = (0.3, 0.2) is 1/(1.09 * 1.04^2)
 DET_PIN = 0.8482167091906721
+
+
+def birkhoff_residual(g: LoopMatrix, N: int, bf) -> float:
+    """Grid defect of g against g_minus * g_zero * g_plus, on the grid
+    triangular measures its own residual on."""
+    grid = CircleGrid.for_width(2 * (N + g.max_degree()) + 2)
+    return product_defect(g, [bf.g_minus, bf.g_zero, bf.g_plus], grid)
 
 
 def blaschke_loop(r: float = 0.5, order: int = 60) -> LoopMatrix:
@@ -116,7 +123,7 @@ def test_birkhoff_factors_normalized_and_accurate():
     vals = tuple(0.4 * 0.6**k * np.exp(2j * np.pi * rng.uniform()) for k in range(4))
     g = partial_product(RootParams("zeta", vals))
     bf = birkhoff(g, 24)
-    assert bf.residual < 1e-10
+    assert birkhoff_residual(g, 24, bf) < 1e-10
     assert bf.minus_spill < 1e-10
     # normalizations
     gp0 = fourier_block(bf.g_plus, 0)
@@ -267,9 +274,25 @@ def test_structured_corner_matches_dense_numpy(side, values, extra):
     if not corner.decides(1e-10):
         assert bf.route == "dense"
         return
-    assert bf.route == "structured" and bf.residual < 1e-10
+    assert bf.route == "structured" and birkhoff_residual(g, N, bf) < 1e-10
     assert abs(corner.rcond - rcond) <= 1e-12
     assert np.max(np.abs(corner.solve() - X)) <= 1e-12
+
+
+def test_grid_residual_is_measured_once(monkeypatch):
+    calls = []
+    measure = toeplitz.product_defect
+
+    def counting(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(toeplitz, "product_defect", counting)
+    g = partial_product(RootParams("zeta", (0.3, 0.2j, 0.1)))
+    tf = triangular(g, 12)
+    assert len(calls) == 1 and tf.residual < 1e-12
+    birkhoff(g, 12)
+    assert len(calls) == 1
 
 
 def test_defect_l1_matches_blockwise_sum():
@@ -286,7 +309,7 @@ def test_constant_loop_has_empty_defect_block():
     assert corner.support.size == 0 and corner.rcond == 1.0
     bf = birkhoff(g, 5)
     assert bf.route == "structured" and bf.rcond == 1.0
-    assert abs(bf.g_zero[0, 0] - phase) < 1e-15 and bf.residual < 1e-15
+    assert abs(bf.g_zero[0, 0] - phase) < 1e-15 and birkhoff_residual(g, 5, bf) < 1e-15
 
 
 def test_overlapping_end_blocks_go_dense(monkeypatch):
