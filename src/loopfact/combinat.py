@@ -128,16 +128,23 @@ def x1_recursion(params: RootParams, count: int) -> complex:
 
 def full_x(params: RootParams) -> LaurentSeries:
     """Positive-power series whose conjugate coefficients are the suffix
-    residues; directly comparable with the triangular-data route."""
+    residues; directly comparable with the triangular-data route.
+
+    Raises ConsistencyViolation when the recursion overflowed, naming the
+    lowest power whose coefficient is not finite."""
     if params.side != "zeta":
         raise ValueError("full_x expects lower-family parameters")
     if params.support == 0:
         return LaurentSeries.zero()
     vals = [complex(params.value_at(i)) for i in range(1, params.support + 1)]
     table = _suffix_table([(v, v.conjugate()) for v in vals])
-    return LaurentSeries.from_dict(
-        {j: complex(table[j]).conjugate() for j in table}
-    )
+    x = np.array([table[j] for j in range(1, params.support + 1)], dtype=complex).conj()
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ConsistencyViolation(
+            f"x coefficient at power {bad[0] + 1} is {complex(x[bad[0]])}, not finite"
+        )
+    return LaurentSeries(1, x)
 
 
 def b_sum(params: RootParams, n: int, m: int) -> complex:
@@ -475,19 +482,18 @@ def coefficient_tables(support: int, weight_cap: int | None = 12) -> Coefficient
     return CoefficientTable(entries, support, weight_cap)
 
 
-def certify_tables(support: int, trials: int | None = None, seed: int = 0) -> CoefficientTable:
+def certify_tables(support: int, seed: int = 0) -> CoefficientTable:
     """Build the uncapped tables and certify them by exact identity
     testing: the grouped form must reproduce the direct recursion at
-    random rational points with the conjugates sampled independently."""
+    support + 2 random rational points with the conjugates sampled
+    independently."""
     table = coefficient_tables(support, weight_cap=None)
-    if trials is None:
-        trials = support + 2
     rng = np.random.default_rng(seed)
 
     def draw():
         return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
 
-    for trial in range(trials):
+    for trial in range(support + 2):
         zs = {i: draw() for i in range(1, support + 1)}
         zb = {i: draw() for i in range(1, support + 1)}
         direct = _suffix_table([(zs[i], zb[i]) for i in range(1, support + 1)])[1]

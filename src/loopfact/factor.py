@@ -46,6 +46,7 @@ from .laurent import (
     LoopMatrix,
     apply_sigma,
     check_squarable,
+    coefficient_table,
     finite_complex,
     invert_series,
     product_defect,
@@ -58,7 +59,6 @@ from .laurent import (
 )
 from .rootsub import RootParams, a_factor, partial_product
 from .toeplitz import (
-    coefficient_table,
     compress,
     det_AstarA,
     direct_shifted,
@@ -160,9 +160,12 @@ def _check_k2_entries(c: LaurentSeries, d: LaurentSeries, tol: float):
         raise BadNormalization(f"d(0) = {d0:.3e} must be real and positive")
 
 
-def k2_triangular_from_cd(
-    c: LaurentSeries, d: LaurentSeries, order: int, tol: float = 1e-9
-) -> K2Triangular:
+# Largest gap from the normal form c(0) = 0, d(0) > 0 that
+# k2_triangular_from_cd accepts.
+_NORMAL_TOL = 1e-9
+
+
+def k2_triangular_from_cd(c: LaurentSeries, d: LaurentSeries, order: int) -> K2Triangular:
     """Triangular data of a lower-family product from its second row.
 
     x* = -P_minus(c* / d) is exact once order exceeds deg(c) - 1 because a
@@ -171,7 +174,7 @@ def k2_triangular_from_cd(
     alpha2 = (d* - x* c)/a2 and beta2 = (-c* - x* d)/a2 are plus-projections,
     with the projected-away mass reported as a diagnostic.
     """
-    _check_k2_entries(c, d, tol)
+    _check_k2_entries(c, d, _NORMAL_TOL)
     a2 = float(1.0 / d.coeff(0).real)
     inv_d = invert_series(d, order)
     xstar = -1.0 * project(star(c) * inv_d, "minus")
@@ -217,19 +220,10 @@ def x_leastsquares(
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=tol)
     if rank < N:
         raise RankDeficient(f"annihilation system has rank {rank} < {N}")
-    xstar = LaurentSeries(-N, tuple(sol[::-1]))
-    return star(xstar)
+    return star(LaurentSeries(-N, sol[::-1]))
 
 
 # --- k2 from the datum x alone ----------------------------------------
-
-
-def _series_to_minus_vec(f: LaurentSeries, N: int) -> np.ndarray:
-    return np.array([f.coeff(-(q + 1)) for q in range(N + 1)], dtype=complex)
-
-
-def _minus_vec_to_series(v: np.ndarray) -> LaurentSeries:
-    return LaurentSeries.from_dict({-(q + 1): v[q] for q in range(len(v))})
 
 
 def _k2_from_x_window(x: LaurentSeries, N: int) -> tuple[K2Triangular, LoopMatrix]:
@@ -238,12 +232,13 @@ def _k2_from_x_window(x: LaurentSeries, N: int) -> tuple[K2Triangular, LoopMatri
     C2 = scalar_compress(xstar.shift(1), N, "hankel_C")
     eye = np.eye(N + 1)
 
+    # a minus-window vector v holds the z^-(q+1) coefficient at index q
     gram2 = eye + C2 @ C2.conj().T
-    v = np.linalg.solve(gram2, _series_to_minus_vec(xstar, N))
-    gamma2 = -1.0 * star(_minus_vec_to_series(v))
+    v = np.linalg.solve(gram2, coefficient_table((xstar,), -N - 1, -1)[::-1, 0])
+    gamma2 = -1.0 * star(LaurentSeries(-N - 1, v[::-1]))
 
-    gvec = np.array([gamma2.coeff(k) for k in range(N + 1)], dtype=complex)
-    delta2_star = LaurentSeries.one() + _minus_vec_to_series(C1 @ gvec)
+    gvec = coefficient_table((gamma2,), 0, N)[:, 0]
+    delta2_star = LaurentSeries.one() + LaurentSeries(-N - 1, (C1 @ gvec)[::-1])
     delta2 = star(delta2_star)
 
     _, log1 = np.linalg.slogdet(eye + C1.conj().T @ C1)
@@ -323,9 +318,7 @@ def zeta_from_loop(k2: LoopMatrix, n_max: int, tol: float = 1e-9) -> RootParams:
         raise BadNormalization(f"loop is not in lower-family form ({form_defect:.3e})")
     _check_k2_entries(k2.c, k2.d, _FORM_TOL)
     lo = -k2.max_degree() - n_max  # column j holds power lo + j
-    rem = np.zeros((4, 1 - 2 * lo), dtype=complex)
-    for row, f in zip(rem, k2.entries()):
-        row[f.min_power - lo : f.max_power - lo + 1] = f.coefficients
+    rem = coefficient_table(k2.entries(), lo, -lo).T
     left, right = rem[0::2], rem[1::2]  # views: columns (a, c) and (b, d)
     values = []
     for n in range(1, n_max + 1):
@@ -505,10 +498,14 @@ def composed_lu(
 _CONSISTENCY_TOL = 1e-6
 
 
-def _trim_trailing(params: RootParams, cut: float = 1e-13) -> RootParams:
+# Trailing parameters at most this large are machine zeros.
+_TRAILING_CUT = 1e-13
+
+
+def _trim_trailing(params: RootParams) -> RootParams:
     # only machine zeros at the tail; interior zeros keep their slots
     values = list(params.values)
-    while values and abs(values[-1]) <= cut:
+    while values and abs(values[-1]) <= _TRAILING_CUT:
         values.pop()
     return RootParams(params.side, tuple(values))
 
@@ -562,9 +559,7 @@ def rootsub_factorize(
     re_chi = -np.log(a1) - 0.5 * np.log(Dl)
     half_window = min(N, (grid.point_count - 1) // 2)
     r = grid.analyze(re_chi, -half_window, half_window)
-    chi = LaurentSeries.from_dict(
-        {n: 2.0 * r.coeff(n) for n in range(1, half_window + 1)}
-    )
+    chi = LaurentSeries(1, 2.0 * coefficient_table((r,), 1, half_window)[:, 0])
     chi0 = 1j * float(np.angle(tf.m_zero))
 
     e_chi = exp_series(chi, 0, N)
@@ -589,6 +584,9 @@ def rootsub_factorize(
 
 # --- reconstruction of the dependent triangular entries ----------------
 
+# Least value of a denominator on the grid that reconstruct_lu divides by.
+_VANISH_TOL = 1e-9
+
 
 def reconstruct_lu(
     l11: LaurentSeries,
@@ -598,7 +596,6 @@ def reconstruct_lu(
     a0: float,
     m0: complex = 1.0,
     order: int | None = None,
-    tol: float = 1e-9,
 ) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries, LaurentSeries]:
     """Dependent entries (l12, l22, u12, u11) from the four determining ones.
 
@@ -611,19 +608,15 @@ def reconstruct_lu(
     m0 is the unimodular constant of the middle factor; with the default
     m0 = 1 the formulas apply to loops whose constant factor is positive.
     """
-    degs = [
-        0 if f.is_zero else max(abs(f.min_power), abs(f.max_power))
-        for f in (l11, l21, u21, u22)
-    ]
-    indeg = max(degs)
+    indeg = LoopMatrix(l11, l21, u21, u22).max_degree()
     if order is None:
         order = indeg + 16
     grid = CircleGrid.for_width(2 * (order + indeg) + 2)
     l11v, l21v, u21v, u22v = (grid.synthesize(f) for f in (l11, l21, u21, u22))
     D = np.abs(l11v) ** 2 + np.abs(l21v) ** 2
-    if D.min() < tol:
+    if D.min() < _VANISH_TOL:
         raise DenominatorVanishes(f"|l11|^2 + |l21|^2 reaches {D.min():.3e}")
-    if np.min(np.abs(l11v)) < tol or np.min(np.abs(u22v)) < tol:
+    if np.min(np.abs(l11v)) < _VANISH_TOL or np.min(np.abs(u22v)) < _VANISH_TOL:
         raise DenominatorVanishes("l11 or u22 vanishes on the grid")
     m0 = complex(m0)
     Fv = (np.conj(l21v) / l11v + m0**2 * np.conj(u21v) / u22v) / D

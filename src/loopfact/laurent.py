@@ -6,13 +6,16 @@ Contents:
   CircleGrid     -- uniform grid on |z| = 1 with FFT analysis/synthesis
                     of series and of loops
   star, project, invert_series, apply_sigma, unitarity_defect
+  coefficient_table -- coefficients of several series over a power range
   max_norm, product_defect -- grid defects: largest 2x2 spectral norm
   JSON (de)serialization for series and loops
 
-Coefficients are stored as a contiguous block from min_power upward; exact
-zeros at the ends are trimmed on construction so equality of values implies
-equality of representations.  Numerical cleanup is never implicit: use
-cleanup(f, tol) to drop small coefficients.
+The coefficients of a series are one read-only complex ndarray, a
+contiguous block from min_power upward.  Construction copies a caller's
+array once, so a series never aliases it, and trims exact zeros at the
+ends, so equality of values implies equality of representations.
+Numerical cleanup is never implicit: use cleanup(f, tol) to drop small
+coefficients.
 
 Arithmetic runs in numpy on the coefficient block.  For series with n and m
 coefficients: a sum costs O(n + m), a product one np.convolve, O(n m);
@@ -52,31 +55,53 @@ __all__ = [
 ]
 
 
-def _trim(min_power: int, coeffs) -> tuple[int, tuple[complex, ...]]:
-    # drop exact zeros at both ends; canonical zero is (0, ())
+_EMPTY = np.zeros(0, dtype=complex)
+_EMPTY.flags.writeable = False
+
+
+def _trim(min_power: int, coeffs) -> tuple[int, np.ndarray]:
+    """The read-only 1-D complex block of coeffs without the exact zeros at
+    its ends; canonical zero is (0, empty).  A caller's ndarray is copied
+    once, anything else is converted once, so no block aliases its input."""
     arr = np.asarray(coeffs, dtype=complex)
+    if arr.ndim != 1:
+        raise ValueError("coefficients must be one-dimensional")
     nonzero = np.flatnonzero(arr)
     if nonzero.size == 0:
-        return 0, ()
-    lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-    return min_power + lo, tuple(arr[lo:hi].tolist())
+        return 0, _EMPTY
+    block = arr[nonzero[0] : nonzero[-1] + 1]
+    if arr is coeffs:
+        block = block.copy()
+    block.flags.writeable = False
+    return min_power + int(nonzero[0]), block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentSeries:
     """Finite Laurent series sum_{n} c_n z^n.
 
-    `coefficients[k]` is the coefficient of z^(min_power + k).  The block is
-    contiguous; missing interior powers are stored as explicit zeros.
+    `coefficients[k]` is the coefficient of z^(min_power + k), held in one
+    read-only complex ndarray.  The block is contiguous; missing interior
+    powers are stored as explicit zeros.  Two series are equal when their
+    blocks are; a series is not hashable.
     """
 
     min_power: int = 0
-    coefficients: tuple[complex, ...] = ()
+    coefficients: np.ndarray = ()
 
     def __post_init__(self):
         mp, cs = _trim(self.min_power, self.coefficients)
         object.__setattr__(self, "min_power", mp)
         object.__setattr__(self, "coefficients", cs)
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        return self.min_power == other.min_power and np.array_equal(
+            self.coefficients, other.coefficients
+        )
+
+    __hash__ = None
 
     # --- constructors -------------------------------------------------
 
@@ -97,44 +122,33 @@ class LaurentSeries:
         if not terms:
             return LaurentSeries.zero()
         lo = min(terms)
-        hi = max(terms)
-        coeffs = [complex(terms.get(n, 0.0)) for n in range(lo, hi + 1)]
-        return LaurentSeries(lo, tuple(coeffs))
+        coeffs = np.zeros(max(terms) - lo + 1, dtype=complex)
+        for n, c in terms.items():
+            coeffs[n - lo] = c
+        return LaurentSeries(lo, coeffs)
 
     # --- basic queries ------------------------------------------------
 
     @property
     def max_power(self) -> int:
-        return self.min_power + len(self.coefficients) - 1
+        return self.min_power + self.coefficients.size - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return self.coefficients.size == 0
 
     def coeff(self, n: int) -> complex:
         k = n - self.min_power
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
+        if 0 <= k < self.coefficients.size:
+            return complex(self.coefficients[k])
         return 0.0 + 0.0j
-
-    def as_dict(self) -> dict[int, complex]:
-        return {
-            self.min_power + k: c
-            for k, c in enumerate(self.coefficients)
-            if c != 0
-        }
-
-    @property
-    def array(self) -> np.ndarray:
-        """The coefficient block as a new complex ndarray."""
-        return np.array(self.coefficients, dtype=complex)
 
     def coefficient_norm(self) -> float:
         """l2 norm of the coefficient sequence."""
-        return float(np.linalg.norm(self.array))
+        return float(np.linalg.norm(self.coefficients))
 
     def coefficient_max(self) -> float:
-        return float(np.abs(self.array).max()) if self.coefficients else 0.0
+        return float(np.abs(self.coefficients).max(initial=0.0))
 
     # --- arithmetic ---------------------------------------------------
 
@@ -148,11 +162,11 @@ class LaurentSeries:
         buf = np.zeros(hi - lo + 1, dtype=complex)
         for f in (self, other):
             start = f.min_power - lo
-            buf[start : start + len(f.coefficients)] += f.coefficients
+            buf[start : start + f.coefficients.size] += f.coefficients
         return LaurentSeries(lo, buf)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_power, -self.array)
+        return LaurentSeries(self.min_power, -self.coefficients)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -162,9 +176,10 @@ class LaurentSeries:
             if self.is_zero or other.is_zero:
                 return LaurentSeries.zero()
             return LaurentSeries(
-                self.min_power + other.min_power, np.convolve(self.array, other.array)
+                self.min_power + other.min_power,
+                np.convolve(self.coefficients, other.coefficients),
             )
-        return LaurentSeries(self.min_power, complex(other) * self.array)
+        return LaurentSeries(self.min_power, complex(other) * self.coefficients)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -182,7 +197,7 @@ class LaurentSeries:
         the top power by np.polyval, then one factor z^min_power.  On a
         CircleGrid use CircleGrid.synthesize, one inverse FFT."""
         z = np.asarray(z, dtype=complex)
-        return np.polyval(self.array[::-1], z) * z ** float(self.min_power)
+        return np.polyval(self.coefficients[::-1], z) * z ** float(self.min_power)
 
 
 @dataclass(frozen=True)
@@ -208,12 +223,7 @@ class LoopMatrix:
     @staticmethod
     def from_constant(m) -> "LoopMatrix":
         m = np.asarray(m, dtype=complex)
-        return LoopMatrix(
-            LaurentSeries(0, (m[0, 0],)),
-            LaurentSeries(0, (m[0, 1],)),
-            LaurentSeries(0, (m[1, 0],)),
-            LaurentSeries(0, (m[1, 1],)),
-        )
+        return LoopMatrix(*(LaurentSeries(0, (v,)) for v in m.ravel()))
 
     def __matmul__(self, other: "LoopMatrix") -> "LoopMatrix":
         return LoopMatrix(
@@ -245,12 +255,7 @@ class LoopMatrix:
         return deg
 
     def truncate(self, lo: int, hi: int) -> "LoopMatrix":
-        return LoopMatrix(
-            truncate(self.a, lo, hi),
-            truncate(self.b, lo, hi),
-            truncate(self.c, lo, hi),
-            truncate(self.d, lo, hi),
-        )
+        return LoopMatrix(*(truncate(f, lo, hi) for f in self.entries()))
 
 
 # --- module-level operations ------------------------------------------
@@ -260,7 +265,7 @@ def star(f: LaurentSeries) -> LaurentSeries:
     """Adjoint symbol f*(z) = sum_n conj(c_n) z^{-n} (equals conj(f) on |z|=1)."""
     if f.is_zero:
         return f
-    return LaurentSeries(-f.max_power, f.array[::-1].conj())
+    return LaurentSeries(-f.max_power, f.coefficients[::-1].conj())
 
 
 def project(f: LaurentSeries, half: str) -> LaurentSeries:
@@ -288,9 +293,22 @@ def truncate(f: LaurentSeries, lo: int | None, hi: int | None) -> LaurentSeries:
     return LaurentSeries(lo_eff, f.coefficients[start:stop])
 
 
+def coefficient_table(entries, lo: int, hi: int) -> np.ndarray:
+    """table[k - lo, i] is the z^k coefficient of entries[i], lo <= k <= hi."""
+    table = np.zeros((hi - lo + 1, len(entries)), dtype=complex)
+    for i, f in enumerate(entries):
+        start, stop = max(f.min_power, lo), min(f.max_power, hi)
+        if start <= stop:
+            table[start - lo : stop - lo + 1, i] = f.coefficients[
+                start - f.min_power : stop - f.min_power + 1
+            ]
+    return table
+
+
 def cleanup(f: LaurentSeries, tol: float) -> LaurentSeries:
     """Drop coefficients with |c| <= tol.  Explicit, never done implicitly."""
-    return LaurentSeries(f.min_power, np.where(np.abs(f.array) <= tol, 0.0, f.array))
+    c = f.coefficients
+    return LaurentSeries(f.min_power, np.where(np.abs(c) <= tol, 0.0, c))
 
 
 def invert_series(d: LaurentSeries, order: int) -> LaurentSeries:
@@ -314,7 +332,7 @@ def invert_series(d: LaurentSeries, order: int) -> LaurentSeries:
     if d0 == 0:
         raise ZeroConstantTerm("series has zero constant term")
     # d has powers 0..deg here; tail[j] = d_{j+1}
-    tail = d.array[1:]
+    tail = d.coefficients[1:]
     inv = np.zeros(order + 1, dtype=complex)
     inv[0] = 1.0 / d0
     # standard recursion: (d * inv)_n = 0 for n >= 1
@@ -362,7 +380,7 @@ class CircleGrid:
         """Write the coefficients of f into the spectrum row spec, power n
         at n mod point_count; refuses a block longer than the grid."""
         p = self.point_count
-        if len(f.coefficients) > p:
+        if f.coefficients.size > p:
             raise ValueError("series support exceeds grid resolution")
         # the powers of f are distinct mod p because its block fits in p
         spec[np.arange(f.min_power, f.max_power + 1) % p] = f.coefficients
@@ -434,9 +452,11 @@ def unitarity_defect(g: LoopMatrix, grid: CircleGrid | None = None) -> float:
 
 
 def series_to_json(f: LaurentSeries) -> dict:
+    """The nonzero terms of f in ascending power."""
+    k = np.flatnonzero(f.coefficients)
     terms = [
-        {"power": n, "re": float(c.real), "im": float(c.imag)}
-        for n, c in sorted(f.as_dict().items())
+        {"power": int(n), "re": float(c.real), "im": float(c.imag)}
+        for n, c in zip(k + f.min_power, f.coefficients[k])
     ]
     return {"terms": terms}
 
@@ -452,11 +472,11 @@ def finite_complex(re, im) -> complex:
 
 def check_squarable(values, what: str) -> None:
     """Raise ParseError where abs(v) ** 2 overflows, i.e. |v| > ~1.34e154."""
-    for v in values:
-        try:
-            abs(v) ** 2
-        except OverflowError:
-            raise ParseError(f"{what} {v!r} is too large to square") from None
+    with np.errstate(over="ignore"):
+        square = np.abs(np.asarray(values, dtype=complex)) ** 2
+    bad = np.flatnonzero(np.isinf(square))
+    if bad.size:
+        raise ParseError(f"{what} {complex(values[bad[0]])!r} is too large to square")
 
 
 def series_from_json(doc: dict) -> LaurentSeries:
@@ -477,23 +497,13 @@ def series_from_json(doc: dict) -> LaurentSeries:
 
 
 def loop_to_json(g: LoopMatrix) -> dict:
-    return {
-        "a": series_to_json(g.a),
-        "b": series_to_json(g.b),
-        "c": series_to_json(g.c),
-        "d": series_to_json(g.d),
-    }
+    return {name: series_to_json(f) for name, f in zip("abcd", g.entries())}
 
 
 def loop_from_json(doc: dict) -> LoopMatrix:
     if not isinstance(doc, dict):
         raise ParseError("loop document must be an object")
     try:
-        return LoopMatrix(
-            series_from_json(doc["a"]),
-            series_from_json(doc["b"]),
-            series_from_json(doc["c"]),
-            series_from_json(doc["d"]),
-        )
+        return LoopMatrix(*(series_from_json(doc[name]) for name in "abcd"))
     except KeyError as e:
         raise ParseError(f"loop document missing entry {e}") from e

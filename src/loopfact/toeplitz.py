@@ -35,6 +35,7 @@ from .laurent import (
     LaurentSeries,
     LoopMatrix,
     apply_sigma,
+    coefficient_table,
     invert_series,
     product_defect,
     star,
@@ -55,18 +56,6 @@ __all__ = [
 ]
 
 _KINDS = ("toeplitz", "shifted", "hankel_B", "hankel_C")
-
-
-def coefficient_table(entries, lo: int, hi: int) -> np.ndarray:
-    """table[k - lo, i] is the z^k coefficient of entries[i], lo <= k <= hi."""
-    table = np.zeros((hi - lo + 1, len(entries)), dtype=complex)
-    for i, f in enumerate(entries):
-        start, stop = max(f.min_power, lo), min(f.max_power, hi)
-        if start <= stop:
-            table[start - lo : stop - lo + 1, i] = f.array[
-                start - f.min_power : stop - f.min_power + 1
-            ]
-    return table
 
 
 def gather(entries, row_powers, col_powers) -> np.ndarray:
@@ -298,19 +287,13 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
         X = np.linalg.solve(A, np.eye(len(A), 2, dtype=complex))
 
     # (g_zero g_plus)^{-1}: entry (i, j) has the Taylor coefficients X[i::2, j]
-    inv_gp = LoopMatrix(*(LaurentSeries(0, tuple(X[i::2, j])) for i in (0, 1) for j in (0, 1)))
+    inv_gp = LoopMatrix(*(LaurentSeries(0, X[i::2, j]) for i in (0, 1) for j in (0, 1)))
 
     det = truncate(inv_gp.det(), 0, N)
     inv_det = invert_series(det, N)
-    h = LoopMatrix(
-        truncate(inv_gp.d * inv_det, 0, N),
-        truncate(-1.0 * inv_gp.b * inv_det, 0, N),
-        truncate(-1.0 * inv_gp.c * inv_det, 0, N),
-        truncate(inv_gp.a * inv_det, 0, N),
-    )
-    g_zero = np.array(
-        [[h.a.coeff(0), h.b.coeff(0)], [h.c.coeff(0), h.d.coeff(0)]], dtype=complex
-    )
+    a, b, c, d = inv_gp.entries()
+    h = LoopMatrix(d * inv_det, -1.0 * b * inv_det, -1.0 * c * inv_det, a * inv_det).truncate(0, N)
+    g_zero = np.array([f.coeff(0) for f in h.entries()], dtype=complex).reshape(2, 2)
     g_plus = LoopMatrix.from_constant(np.linalg.inv(g_zero)) @ h
 
     raw_minus = g @ inv_gp
@@ -367,18 +350,22 @@ def triangular(g: LoopMatrix, N: int, tol: float = 1e-10) -> TriangularFactors:
     return TriangularFactors(l, complex(m_zero), a_zero, u, residual)
 
 
-def winding_number(f: LaurentSeries, grid: CircleGrid | None = None, tol: float = 1e-9) -> int:
+# Least |f| on the grid for which winding_number reads a phase.
+_VANISH_TOL = 1e-9
+
+
+def winding_number(f: LaurentSeries, grid: CircleGrid | None = None) -> int:
     """Degree of f restricted to the circle, by summed phase increments
     over the grid (512 points by default).
 
-    Raises VanishingSymbol when |f| dips below tol on the grid, and
-    ValueError when f does not fit the grid.
+    Raises VanishingSymbol when |f| dips below _VANISH_TOL on the grid,
+    and ValueError when f does not fit the grid.
     """
     if grid is None:
         grid = CircleGrid()
     vals = grid.synthesize(f)
     mags = np.abs(vals)
-    if mags.min() < tol:
+    if mags.min() < _VANISH_TOL:
         raise VanishingSymbol(
             f"|f| reaches {mags.min():.3e} on the grid, winding undefined"
         )

@@ -238,6 +238,18 @@ def test_x_from_zeta_at_support_32(tmp_path):
     assert (terms[-1]["re"], terms[-1]["im"]) == (values[-1].real, -values[-1].imag)
 
 
+def test_x_from_zeta_overflow_exits_two_without_nonfinite_output(tmp_path, capsys):
+    # |zeta| = 1e100 squares to 1e200, but the suffix recursion overflows
+    src = tmp_path / "params.json"
+    out = tmp_path / "x.json"
+    write_json(src, params_doc([1e100] * 4))
+    assert main(["x-from-zeta", "--params", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConsistencyViolation"
+    assert "power 1" in err["message"]
+
+
 def test_series_round_trip_through_files(tmp_path):
     values = [0.3, -0.15 + 0.1j, 0.08j, 0.02]
     src = tmp_path / "params.json"

@@ -51,8 +51,42 @@ series_strategy = st.builds(
 def test_trim_canonicalizes():
     f = LaurentSeries(-2, (0.0, 1.0, 0.0, 2.0, 0.0))
     assert f.min_power == -1
-    assert f.coefficients == (1.0 + 0.0j, 0.0 + 0.0j, 2.0 + 0.0j)
+    assert tuple(f.coefficients) == (1.0 + 0.0j, 0.0 + 0.0j, 2.0 + 0.0j)
     assert LaurentSeries(5, (0.0, 0.0)).is_zero
+
+
+def test_series_keep_one_private_read_only_array():
+    src = np.array([0.0, 1.0 + 2.0j, -0.5j, 3.0, 0.0])
+    f = LaurentSeries(-2, src)
+    g = LaurentSeries.from_dict({0: 2.0, 1: 0.25j, 3: -1.0})
+    grid = CircleGrid(16)
+    vals = grid.synthesize(f)
+    results = {
+        "constructor": f,
+        "add": f + g,
+        "sub": f - g,
+        "mul": f * g,
+        "scale": 2.5 * f,
+        "shift": f.shift(3),
+        "star": star(f),
+        "truncate": truncate(f, -1, 0),
+        "invert_series": invert_series(g, 6),
+        "analyze": grid.analyze(vals, -2, 2),
+    }
+    before = {name: (h.min_power, h.coefficients.copy()) for name, h in results.items()}
+    src[:] = 7.0
+    vals[:] = 7.0
+    for name, h in results.items():
+        assert isinstance(h.coefficients, np.ndarray), name
+        assert h.coefficients.ndim == 1 and h.coefficients.dtype == complex
+        with pytest.raises(ValueError):
+            h.coefficients[0] = 1.0
+        assert h.min_power == before[name][0]
+        assert np.array_equal(h.coefficients, before[name][1]), name
+        from_tuple = LaurentSeries(h.min_power, tuple(before[name][1]))
+        assert from_tuple == LaurentSeries(h.min_power, before[name][1]) == h
+        with pytest.raises(TypeError):
+            hash(h)
 
 
 def test_mul_against_pointwise_oracle():
@@ -107,7 +141,7 @@ def test_series_kernels_match_python_oracles(f, g):
     assert ((f * g) - oracles.convolve(f, g)).coefficient_max() <= 1e-12 * scale
     assert ((f + g) - oracles.add(f, g)).coefficient_max() <= 1e-12 * scale
     z = np.array([np.exp(1j * t) * r for t, r in ((0.3, 1.0), (2.1, 0.8), (4.4, 1.25))])
-    magnitude = oracles.horner(LaurentSeries(f.min_power, np.abs(f.array)), np.abs(z))
+    magnitude = oracles.horner(LaurentSeries(f.min_power, np.abs(f.coefficients)), np.abs(z))
     assert np.all(np.abs(f.evaluate(z) - oracles.horner(f, z)) <= 1e-12 * (1.0 + magnitude))
 
 
@@ -155,7 +189,7 @@ def test_synthesize_loop_matches_horner(entries):
     vals = grid.synthesize_loop(g)
     assert vals.shape == (16, 2, 2)
     for k, f in enumerate(entries):
-        scale = 1.0 + np.abs(f.array).sum()
+        scale = 1.0 + np.abs(f.coefficients).sum()
         gap = np.abs(vals[:, k // 2, k % 2] - oracles.horner(f, grid.points))
         assert gap.max() <= 1e-12 * scale
 
