@@ -260,6 +260,12 @@ def _k2_from_x_window(x: LaurentSeries, N: int) -> tuple[K2Triangular, LoopMatri
     return data, data.assemble()
 
 
+# Largest 1 + ||x||_2^2 that k2_from_x accepts: the Gram matrices of a
+# window have entries up to this bound and the loop it assembles has
+# products of two of them, which stay finite below sqrt(max float).
+_GRAM_MAX = float(np.sqrt(np.finfo(float).max))
+
+
 def k2_from_x(x: LaurentSeries, N: int, tol: float = 1e-8) -> tuple[LoopMatrix, float]:
     """Reconstruct the lower-family product from its datum x.
 
@@ -268,10 +274,18 @@ def k2_from_x(x: LaurentSeries, N: int, tol: float = 1e-8) -> tuple[LoopMatrix, 
     determinant ratio a2^2 = det(1 + C(x*)^* C(x*)) / det(1 + C(zx*)^* C(zx*)),
     where C(f) compresses P_minus f P_plus.  The computation is repeated on
     the window N+8; if any loop coefficient moves by more than tol the result
-    is rejected with TruncationUnstable.
+    is rejected with TruncationUnstable.  An x with 1 + ||x||_2^2 at or above
+    _GRAM_MAX raises BadNormalization before any product can overflow.
     """
     if not x.is_zero and x.min_power < 1:
         raise BadNormalization("x must have powers >= 1")
+    with np.errstate(over="ignore"):
+        gram = 1.0 + float(np.sum(np.abs(x.coefficients) ** 2))
+    if not gram < _GRAM_MAX:
+        raise BadNormalization(
+            f"1 + ||x||^2 = {gram:.3e} is not below {_GRAM_MAX:.3e}: "
+            "the Gram matrices would overflow"
+        )
     _, loop_small = _k2_from_x_window(x, N)
     data, loop_big = _k2_from_x_window(x, N + 8)
     drift = max(

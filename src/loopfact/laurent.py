@@ -7,15 +7,18 @@ Contents:
                     of series and of loops
   star, project, invert_series, apply_sigma, unitarity_defect
   coefficient_table -- coefficients of several series over a power range
+  trim_mass      -- drop outer terms within an l1 budget, report the mass
   max_norm, product_defect -- grid defects: largest 2x2 spectral norm
   JSON (de)serialization for series and loops
 
 The coefficients of a series are one read-only complex ndarray, a
 contiguous block from min_power upward.  Construction copies a caller's
 array once, so a series never aliases it, and trims exact zeros at the
-ends, so equality of values implies equality of representations.
-Numerical cleanup is never implicit: use cleanup(f, tol) to drop small
-coefficients.
+ends, so equality of values implies equality of representations; the
+operations of this module hand their fresh or read-only blocks over
+without a copy.  Numerical trimming is never implicit: trim_mass(f,
+budget) drops the outer terms of f whose total l1 mass fits the budget
+and returns that mass, so a stage that trims can report what it dropped.
 
 Arithmetic runs in numpy on the coefficient block.  For series with n and m
 coefficients: a sum costs O(n + m), a product one np.convolve, O(n m);
@@ -46,7 +49,7 @@ __all__ = [
     "unitarity_defect",
     "max_norm",
     "product_defect",
-    "cleanup",
+    "trim_mass",
     "truncate",
     "series_to_json",
     "series_from_json",
@@ -59,19 +62,14 @@ _EMPTY = np.zeros(0, dtype=complex)
 _EMPTY.flags.writeable = False
 
 
-def _trim(min_power: int, coeffs) -> tuple[int, np.ndarray]:
-    """The read-only 1-D complex block of coeffs without the exact zeros at
-    its ends; canonical zero is (0, empty).  A caller's ndarray is copied
-    once, anything else is converted once, so no block aliases its input."""
-    arr = np.asarray(coeffs, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError("coefficients must be one-dimensional")
+def _trim(min_power: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
+    """The read-only block of arr, a 1-D complex ndarray, without the exact
+    zeros at its ends; canonical zero is (0, empty).  Never copies: arr is
+    fresh from an operation or a read-only series block."""
     nonzero = np.flatnonzero(arr)
     if nonzero.size == 0:
         return 0, _EMPTY
     block = arr[nonzero[0] : nonzero[-1] + 1]
-    if arr is coeffs:
-        block = block.copy()
     block.flags.writeable = False
     return min_power + int(nonzero[0]), block
 
@@ -90,9 +88,26 @@ class LaurentSeries:
     coefficients: np.ndarray = ()
 
     def __post_init__(self):
-        mp, cs = _trim(self.min_power, self.coefficients)
+        # a caller's ndarray is copied once, anything else is converted
+        # once, so no series aliases its input
+        arr = np.asarray(self.coefficients, dtype=complex)
+        if arr.ndim != 1:
+            raise ValueError("coefficients must be one-dimensional")
+        if arr is self.coefficients:
+            arr = arr.copy()
+        mp, cs = _trim(self.min_power, arr)
         object.__setattr__(self, "min_power", mp)
         object.__setattr__(self, "coefficients", cs)
+
+    @classmethod
+    def _owning(cls, min_power: int, block: np.ndarray) -> "LaurentSeries":
+        """A series on block without copying it; block is a 1-D complex
+        ndarray that no one else writes (see _trim)."""
+        f = object.__new__(cls)
+        mp, cs = _trim(min_power, block)
+        object.__setattr__(f, "min_power", mp)
+        object.__setattr__(f, "coefficients", cs)
+        return f
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -125,7 +140,7 @@ class LaurentSeries:
         coeffs = np.zeros(max(terms) - lo + 1, dtype=complex)
         for n, c in terms.items():
             coeffs[n - lo] = c
-        return LaurentSeries(lo, coeffs)
+        return LaurentSeries._owning(lo, coeffs)
 
     # --- basic queries ------------------------------------------------
 
@@ -163,10 +178,10 @@ class LaurentSeries:
         for f in (self, other):
             start = f.min_power - lo
             buf[start : start + f.coefficients.size] += f.coefficients
-        return LaurentSeries(lo, buf)
+        return LaurentSeries._owning(lo, buf)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_power, -self.coefficients)
+        return LaurentSeries._owning(self.min_power, -self.coefficients)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -175,11 +190,11 @@ class LaurentSeries:
         if isinstance(other, LaurentSeries):
             if self.is_zero or other.is_zero:
                 return LaurentSeries.zero()
-            return LaurentSeries(
+            return LaurentSeries._owning(
                 self.min_power + other.min_power,
                 np.convolve(self.coefficients, other.coefficients),
             )
-        return LaurentSeries(self.min_power, complex(other) * self.coefficients)
+        return LaurentSeries._owning(self.min_power, complex(other) * self.coefficients)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -188,7 +203,7 @@ class LaurentSeries:
         """Multiply by z^k."""
         if self.is_zero:
             return self
-        return LaurentSeries(self.min_power + k, self.coefficients)
+        return LaurentSeries._owning(self.min_power + k, self.coefficients)
 
     # --- evaluation ---------------------------------------------------
 
@@ -265,7 +280,7 @@ def star(f: LaurentSeries) -> LaurentSeries:
     """Adjoint symbol f*(z) = sum_n conj(c_n) z^{-n} (equals conj(f) on |z|=1)."""
     if f.is_zero:
         return f
-    return LaurentSeries(-f.max_power, f.coefficients[::-1].conj())
+    return LaurentSeries._owning(-f.max_power, f.coefficients[::-1].conj())
 
 
 def project(f: LaurentSeries, half: str) -> LaurentSeries:
@@ -290,7 +305,7 @@ def truncate(f: LaurentSeries, lo: int | None, hi: int | None) -> LaurentSeries:
         return LaurentSeries.zero()
     start = lo_eff - f.min_power
     stop = hi_eff - f.min_power + 1
-    return LaurentSeries(lo_eff, f.coefficients[start:stop])
+    return LaurentSeries._owning(lo_eff, f.coefficients[start:stop])
 
 
 def coefficient_table(entries, lo: int, hi: int) -> np.ndarray:
@@ -305,10 +320,35 @@ def coefficient_table(entries, lo: int, hi: int) -> np.ndarray:
     return table
 
 
-def cleanup(f: LaurentSeries, tol: float) -> LaurentSeries:
-    """Drop coefficients with |c| <= tol.  Explicit, never done implicitly."""
-    c = f.coefficients
-    return LaurentSeries(f.min_power, np.where(np.abs(c) <= tol, 0.0, c))
+def trim_mass(f: LaurentSeries, budget: float) -> tuple[LaurentSeries, float]:
+    """Drop outer terms of f while their total l1 mass stays within budget.
+
+    Returns the kept series, a contiguous slice of f's block, and the
+    dropped mass: ||f - kept||_1, never above budget.  Of all the ways to
+    drop i terms from the bottom and j from the top within budget, the one
+    dropping the most terms wins, and among those the least mass.  One
+    cumulative sum per end and searchsorted, O(n log n) for n terms.
+    """
+    if not budget >= 0.0:
+        raise ValueError(f"budget must be nonnegative, got {budget!r}")
+    mags = np.abs(f.coefficients)
+    n = mags.size
+    if n == 0 or min(mags[0], mags[-1]) > budget:
+        return f, 0.0
+    # low[i] / high[j]: mass of the i lowest / j highest terms; for every
+    # feasible i, the most high terms that still fit
+    low = np.concatenate(([0.0], np.cumsum(mags)))
+    high = np.concatenate(([0.0], np.cumsum(mags[::-1])))
+    ii = np.arange(np.searchsorted(low, budget, side="right"))
+    jj = np.minimum(np.searchsorted(high, budget - low[ii], side="right") - 1, n - ii)
+    # the subtraction may round up by an ulp: keep only pairs that fit
+    mass = low[ii] + high[jj]
+    count = np.where(mass <= budget, ii + jj, -1)
+    k = np.lexsort((mass, -count))[0]
+    i, j = int(ii[k]), int(jj[k])
+    dropped = float(mass[k])
+    kept = LaurentSeries._owning(f.min_power + i, f.coefficients[i : n - j])
+    return kept, dropped
 
 
 def invert_series(d: LaurentSeries, order: int) -> LaurentSeries:
@@ -339,7 +379,7 @@ def invert_series(d: LaurentSeries, order: int) -> LaurentSeries:
     for n in range(1, order + 1):
         k = min(n, tail.size)
         inv[n] = -np.dot(tail[:k], inv[n - 1 :: -1][:k]) / d0
-    return LaurentSeries(0, inv)
+    return LaurentSeries._owning(0, inv)
 
 
 def apply_sigma(g: LoopMatrix) -> LoopMatrix:
@@ -408,7 +448,7 @@ class CircleGrid:
         if max_power - min_power + 1 > self.point_count:
             raise ValueError("requested window exceeds grid resolution")
         spec = np.fft.fft(np.asarray(values, dtype=complex)) / self.point_count
-        return LaurentSeries(
+        return LaurentSeries._owning(
             min_power, spec[np.arange(min_power, max_power + 1) % self.point_count]
         )
 

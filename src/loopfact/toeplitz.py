@@ -39,6 +39,7 @@ from .laurent import (
     invert_series,
     product_defect,
     star,
+    trim_mass,
     truncate,
 )
 
@@ -244,6 +245,13 @@ def det_AstarA(g: LoopMatrix, N: int) -> float:
     return float(np.exp(logabs))
 
 
+def _trim_loop(h: LoopMatrix, budget: float) -> tuple[LoopMatrix, float]:
+    """Each entry of h through trim_mass with the same budget, and the
+    total mass dropped."""
+    trimmed = [trim_mass(f, budget) for f in h.entries()]
+    return LoopMatrix(*(f for f, _ in trimmed)), sum(m for _, m in trimmed)
+
+
 @dataclass(frozen=True)
 class BirkhoffFactors:
     """g = g_minus * g_zero * g_plus with g_minus(inf) = g_plus(0) = I."""
@@ -309,7 +317,8 @@ class TriangularFactors:
     """g = l * diag(m0 a0, (m0 a0)^{-1}) * u.
 
     l has powers <= 0 with l(inf) lower unipotent, u has powers >= 0 with
-    u(0) upper unipotent, |m0| = 1 and a0 > 0.
+    u(0) upper unipotent, |m0| = 1 and a0 > 0.  discarded_mass is the l1
+    mass trimmed from the entries of l and u.
     """
 
     l: LoopMatrix
@@ -317,6 +326,7 @@ class TriangularFactors:
     a_zero: float
     u: LoopMatrix
     residual: float
+    discarded_mass: float
 
 
 def triangular(g: LoopMatrix, N: int, tol: float = 1e-10) -> TriangularFactors:
@@ -327,8 +337,11 @@ def triangular(g: LoopMatrix, N: int, tol: float = 1e-10) -> TriangularFactors:
     entry of the constant factor is below tol in magnitude, which is exactly
     when the shifted compression degenerates.
 
-    residual is measured once, on the factors returned: the grid defect of
-    g against l * diag * u.
+    Each entry of l and u is trimmed with trim_mass at budget eps ||g||_1,
+    so the factors keep only the terms that carry digits: for a Laurent
+    polynomial g they are Laurent polynomials of about its degree, not of
+    degree N.  residual is measured once, on the trimmed factors returned:
+    the grid defect of g against l * diag * u.
     """
     bf = birkhoff(g, N, tol)
     alpha = bf.g_zero[0, 0]
@@ -340,14 +353,16 @@ def triangular(g: LoopMatrix, N: int, tol: float = 1e-10) -> TriangularFactors:
     gamma = bf.g_zero[1, 0]
     l_const = np.array([[1.0, 0.0], [gamma / alpha, 1.0]], dtype=complex)
     u_const = np.array([[1.0, beta / alpha], [0.0, 1.0]], dtype=complex)
-    l = bf.g_minus @ LoopMatrix.from_constant(l_const)
-    u = LoopMatrix.from_constant(u_const) @ bf.g_plus
+    # eps ||g||_1: the coefficient l1 norm of g in units of rounding
+    budget = float(np.finfo(float).eps * sum(np.abs(f.coefficients).sum() for f in g.entries()))
+    l, l_mass = _trim_loop(bf.g_minus @ LoopMatrix.from_constant(l_const), budget)
+    u, u_mass = _trim_loop(LoopMatrix.from_constant(u_const) @ bf.g_plus, budget)
     m_zero = alpha / abs(alpha)
     a_zero = float(abs(alpha))
     middle = np.array([[alpha, 0.0], [0.0, 1.0 / alpha]], dtype=complex)
     grid = CircleGrid.for_width(2 * (N + g.max_degree()) + 2)
     residual = product_defect(g, [l, middle, u], grid)
-    return TriangularFactors(l, complex(m_zero), a_zero, u, residual)
+    return TriangularFactors(l, complex(m_zero), a_zero, u, residual, l_mass + u_mass)
 
 
 # Least |f| on the grid for which winding_number reads a phase.

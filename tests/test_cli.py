@@ -250,6 +250,20 @@ def test_x_from_zeta_overflow_exits_two_without_nonfinite_output(tmp_path, capsy
     assert "power 1" in err["message"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_zeta_from_x_overflow_exits_two_without_warnings(tmp_path, capsys):
+    # 1e200 at powers 1 and 2: the Gram matrices of k2_from_x would overflow
+    src = tmp_path / "x.json"
+    out = tmp_path / "zeta.json"
+    series = {"terms": [{"power": p, "re": 1e200, "im": 0.0} for p in (1, 2)]}
+    write_json(src, {"schema_version": 1, "kind": "series", "series": series})
+    assert main(["zeta-from-x", "--series", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadNormalization"
+    assert "overflow" in err["message"]
+
+
 def test_series_round_trip_through_files(tmp_path):
     values = [0.3, -0.15 + 0.1j, 0.08j, 0.02]
     src = tmp_path / "params.json"

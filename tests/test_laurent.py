@@ -1,5 +1,7 @@
 """Series arithmetic checked against an independent pointwise oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,12 @@ from loopfact.laurent import (
     LaurentSeries,
     LoopMatrix,
     apply_sigma,
-    cleanup,
     invert_series,
     project,
     series_from_json,
     series_to_json,
     star,
+    trim_mass,
     truncate,
     unitarity_defect,
 )
@@ -245,8 +247,57 @@ def test_unitarity_defect_detects_and_clears():
 def test_truncate_and_cleanup():
     f = LaurentSeries.from_dict({-2: 1e-14, 0: 1.0, 3: 2.0})
     assert truncate(f, 0, 2) == LaurentSeries.one()
-    g = cleanup(f, 1e-12)
-    assert g.min_power == 0 and g.coeff(-2) == 0
+    g, dropped = trim_mass(f, 1e-12)
+    assert g.min_power == 0 and g.coeff(-2) == 0 and dropped == 1e-14
+
+
+tiny = st.floats(-1e-12, 1e-12, allow_nan=False, allow_infinity=False)
+tailed_series = st.builds(
+    lambda mp, below, core, above: LaurentSeries(mp, (*below, *core, *above)),
+    st.integers(-6, 6),
+    st.lists(st.builds(complex, tiny, tiny), max_size=6),
+    st.lists(small_complex, max_size=5),
+    st.lists(st.builds(complex, tiny, tiny), max_size=6),
+)
+budgets = st.one_of(st.just(0.0), st.floats(0.0, 1e-11), st.floats(0.0, 4.0))
+
+
+@given(tailed_series, budgets)
+@settings(max_examples=200)
+def test_trim_mass_drops_outer_terms_within_budget(f, budget):
+    kept, dropped = trim_mass(f, budget)
+    assert 0.0 <= dropped <= budget
+    # the kept block is an untouched contiguous slice of f
+    start = kept.min_power - f.min_power if not kept.is_zero else 0
+    size = kept.coefficients.size
+    assert 0 <= start and start + size <= f.coefficients.size
+    assert np.array_equal(kept.coefficients, f.coefficients[start : start + size])
+    # the dropped mass is the l1 gap, to rounding
+    gap = float(np.abs((f - kept).coefficients).sum())
+    assert abs(gap - dropped) <= 1e-12 * dropped
+    # no split of the outer terms that fits the budget drops more of them
+    mags = np.abs(f.coefficients)
+    n = mags.size
+    best = max(
+        i + j
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+        if math.fsum(mags[:i]) + math.fsum(mags[n - j :]) <= budget * (1 - 1e-9)
+    )
+    assert n - size >= best
+
+
+@given(tailed_series)
+def test_trim_mass_with_zero_budget_returns_f(f):
+    kept, dropped = trim_mass(f, 0.0)
+    assert dropped == 0.0
+    assert kept.min_power == f.min_power
+    assert np.array_equal(kept.coefficients, f.coefficients)
+
+
+def test_trim_mass_refuses_a_negative_budget():
+    with pytest.raises(ValueError):
+        trim_mass(LaurentSeries.one(), -1e-16)
 
 
 def test_series_json_round_trip():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopfact import cli
 from loopfact.errors import NotInvertible, ShiftedNotInvertible, VanishingSymbol
 from loopfact.laurent import CircleGrid, LaurentSeries, LoopMatrix, product_defect, star
 from loopfact import toeplitz
@@ -293,6 +294,23 @@ def test_grid_residual_is_measured_once(monkeypatch):
     assert len(calls) == 1 and tf.residual < 1e-12
     birkhoff(g, 12)
     assert len(calls) == 1
+
+
+def test_triangular_keeps_factors_to_the_digits_they_carry():
+    # compose --random 8 --seed 7: a Laurent polynomial loop of degree 8
+    g = partial_product(cli.random_zeta(cli.RunConfig(seed=7), 8))
+    N = 384
+    budget = np.finfo(float).eps * sum(np.abs(f.coefficients).sum() for f in g.entries())
+    tf = triangular(g, N)
+    deg = g.max_degree()
+    for f in tf.l.entries() + tf.u.entries():
+        assert f.coefficients.size <= 2 * (deg + 1)
+    assert tf.discarded_mass <= 8 * budget
+    assert tf.residual < 1e-9
+    # the residual is the defect of the trimmed factors returned
+    middle = np.diag([tf.m_zero * tf.a_zero, 1.0 / (tf.m_zero * tf.a_zero)])
+    grid = CircleGrid.for_width(2 * (N + deg) + 2)
+    assert product_defect(g, [tf.l, middle, tf.u], grid) == tf.residual
 
 
 def test_defect_l1_matches_blockwise_sum():
