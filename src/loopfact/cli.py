@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from .errors import LoopFactError, ParseError
 from .laurent import (
     CircleGrid,
     LaurentSeries,
+    check_squarable,
     loop_from_json,
     loop_to_json,
     series_from_json,
@@ -92,6 +94,7 @@ def random_zeta(config: RunConfig, support: int, amplitude: float = 1.0) -> Root
         amplitude * magnitude(n) * complex(np.cos(p), np.sin(p))
         for n, p in zip(range(1, support + 1), phases)
     )
+    check_squarable(values, "random parameter")
     return RootParams("zeta", values)
 
 
@@ -304,9 +307,26 @@ def _parse_range(text: str):
     return first, last, step
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _add_common(sub, seed=False, profile=False):
     sub.add_argument("--trunc", type=int, default=48, help="matrix truncation size")
-    sub.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    sub.add_argument("--tol", type=_positive_float, default=1e-9, help="numeric tolerance")
     sub.add_argument("--grid", type=int, default=512, help="circle grid points")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     if seed:
@@ -362,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=(4, 24, 4),
         help="supports to probe, first:last[:step]",
     )
-    p.add_argument("--amplitude", type=float, default=1.0, help="profile scale")
+    p.add_argument("--amplitude", type=_finite_float, default=1.0, help="profile scale")
     _add_common(p, seed=True, profile=True)
     p.set_defaults(func=cmd_conjecture_probe)
 

@@ -8,6 +8,9 @@ the compressions this module provides determinant magnitudes, the Birkhoff
 (Riemann-Hilbert) factorization by linear solve, its triangular refinement,
 and winding numbers with a numerical index cross-check.
 
+The Birkhoff layer factors special loops only (det g = 1, checked on entry
+to birkhoff), so its solve columns are inverted by their adjugate.
+
 Every corner is one gather: a dense table of the entries' coefficients,
 indexed by p - q for row power p and column power q.  Building a corner
 with R x C blocks costs O(R C) memory moves.
@@ -29,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvertible, ShiftedNotInvertible, VanishingSymbol
+from .errors import BadNormalization, NotInvertible, ShiftedNotInvertible, VanishingSymbol
 from .laurent import (
     CircleGrid,
     LaurentSeries,
     LoopMatrix,
     apply_sigma,
     coefficient_table,
-    invert_series,
     product_defect,
     star,
     trim_mass,
@@ -125,6 +127,10 @@ def direct_shifted(g: LoopMatrix, N: int) -> np.ndarray:
 # Relative error the structured corner may add to a solve or to |det A_N|;
 # beyond it, the dense route runs.
 _STRUCTURED_RTOL = 1e-12
+
+# Largest coefficient of det g - 1 that birkhoff accepts: the Birkhoff layer
+# factors special loops only.
+_SPECIAL_TOL = 1e-9
 
 
 def _defect_l1(g: LoopMatrix) -> float:
@@ -267,17 +273,26 @@ class BirkhoffFactors:
 def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
     """Birkhoff factorization computed from the truncated Toeplitz corner.
 
-    Solves A_N(g) X = [e_1, e_2]; the two solution columns are the Taylor
-    coefficients of (g_zero g_plus)^{-1}, which is inverted as a 2x2 series
-    matrix; g_minus = g * (g_zero g_plus)^{-1} truncated to powers <= 0.
+    g must be special: det g = 1, so that det g_minus = det g_plus = 1 and
+    det g_zero = 1.  Solves A_N(g) X = [e_1, e_2]; the two solution columns
+    are the Taylor coefficients of (g_zero g_plus)^{-1}.  Its constant block
+    X[:2] is g_zero^{-1}, and its inverse g_zero g_plus is its adjugate, so
+    g_plus = X[:2] adj((g_zero g_plus)^{-1}) takes no series inversion;
+    g_minus = g * (g_zero g_plus)^{-1} truncated to powers <= 0.
 
-    Raises NotInvertible when the 2-norm reciprocal condition number of the
-    corner falls below tol.
+    Raises BadNormalization when a coefficient of det g - 1 exceeds
+    _SPECIAL_TOL, and NotInvertible when the 2-norm reciprocal condition
+    number of the corner falls below tol.
 
     route is "structured" when the structured corner decides the rcond
     test for every A^H A within its eps band and solves to relative error
     1e-12; otherwise "dense", the SVD and solve of the dense corner.
     """
+    det_defect = (g.det() - LaurentSeries.one()).coefficient_max()
+    if not det_defect <= _SPECIAL_TOL:
+        raise BadNormalization(
+            f"loop is not special: det g - 1 reaches {det_defect:.3e} (tol {_SPECIAL_TOL:.1e})"
+        )
     corner = _structured_corner(g, N)
     if corner is not None and corner.decides(tol):
         route, rcond = "structured", corner.rcond
@@ -296,13 +311,9 @@ def birkhoff(g: LoopMatrix, N: int, tol: float = 1e-10) -> BirkhoffFactors:
 
     # (g_zero g_plus)^{-1}: entry (i, j) has the Taylor coefficients X[i::2, j]
     inv_gp = LoopMatrix(*(LaurentSeries(0, X[i::2, j]) for i in (0, 1) for j in (0, 1)))
-
-    det = truncate(inv_gp.det(), 0, N)
-    inv_det = invert_series(det, N)
     a, b, c, d = inv_gp.entries()
-    h = LoopMatrix(d * inv_det, -1.0 * b * inv_det, -1.0 * c * inv_det, a * inv_det).truncate(0, N)
-    g_zero = np.array([f.coeff(0) for f in h.entries()], dtype=complex).reshape(2, 2)
-    g_plus = LoopMatrix.from_constant(np.linalg.inv(g_zero)) @ h
+    g_zero = np.linalg.inv(X[:2])
+    g_plus = LoopMatrix.from_constant(X[:2]) @ LoopMatrix(d, -b, -c, a)
 
     raw_minus = g @ inv_gp
     spill = max(

@@ -520,6 +520,46 @@ def test_nonunitary_input_rejected_with_exit_code_two(tmp_path, capsys):
     assert err["error"] == "BadNormalization"
 
 
+@pytest.mark.parametrize("mode", ["rootsub", "triangular"])
+def test_factor_refuses_a_loop_that_is_not_special(tmp_path, capsys, mode):
+    # unitary with det e^{0.8i}: both modes used to exit 0 with residual ~0.8
+    loop = partial_product(RootParams("zeta", (0.3, 0.2j, 0.1))).scale(np.exp(0.4j))
+    src = tmp_path / "loop.json"
+    out = tmp_path / "out.json"
+    write_json(src, loop_doc(loop))
+    argv = ["factor", "--loop", str(src), "--mode", mode, "--trunc", "24", "--out", str(out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadNormalization" and "not special" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["factor", "--loop", "loop.json", "--tol", "nan"], "--tol: must be finite"),
+        (["factor", "--loop", "loop.json", "--tol", "-1"], "--tol: must be positive"),
+        (["factor", "--loop", "loop.json", "--tol", "0"], "--tol: must be positive"),
+        (["conjecture-probe", "--amplitude", "nan"], "--amplitude: must be finite"),
+        (["conjecture-probe", "--amplitude", "inf"], "--amplitude: must be finite"),
+    ],
+    ids=["tol-nan", "tol-negative", "tol-zero", "amplitude-nan", "amplitude-inf"],
+)
+def test_nonfinite_flags_are_rejected_at_parse_time(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_conjecture_probe_refuses_an_amplitude_too_large_to_square(capsys):
+    argv = ["conjecture-probe", "--amplitude", "1e200", "--support-range", "4:4"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and "too large to square" in err["message"]
+
+
 def nonfinite_documents(bad):
     loop_json = loop_to_json(partial_product(RootParams("zeta", (0.5,))))
     loop_json["a"]["terms"][0]["re"] = bad

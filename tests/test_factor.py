@@ -279,6 +279,10 @@ def test_factorize_rejects_nonunitary_and_nonfactorizable():
     g = compose_rootsub(data, order=40).scale(1.05)
     with pytest.raises(BadNormalization):
         rootsub_factorize(g, 24)
+    # unitary, so the grid check passes, but det g = e^{0.8i}
+    rotated = partial_product(RootParams("zeta", (0.3, 0.2j, 0.1))).scale(np.exp(0.4j))
+    with pytest.raises(BadNormalization, match="not special"):
+        rootsub_factorize(rotated, 24)
     terms = {0: 0.5}
     for k in range(1, 61):
         terms[k] = 0.5 ** (k - 1) * (0.25 - 1.0)

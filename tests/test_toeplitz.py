@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopfact import cli
-from loopfact.errors import NotInvertible, ShiftedNotInvertible, VanishingSymbol
+from loopfact.errors import BadNormalization, NotInvertible, ShiftedNotInvertible, VanishingSymbol
 from loopfact.laurent import CircleGrid, LaurentSeries, LoopMatrix, product_defect, star
-from loopfact import toeplitz
+from loopfact import laurent, toeplitz
 from loopfact.rootsub import RootParams, partial_product
 from loopfact.toeplitz import (
     _defect_l1,
@@ -349,17 +349,66 @@ def test_overlapping_end_blocks_go_dense(monkeypatch):
 
 def test_nonunitary_loop_goes_dense_with_todays_answer():
     g = partial_product(RootParams("zeta", (0.3, 0.2)))
-    # a 1e-6 term at z^1 leaves the end blocks alone but breaks unitarity
-    bent = LoopMatrix(g.a, g.b + LaurentSeries.monomial(1, 1e-6), g.c, g.d)
-    assert defect_l1(bent) > 1e-7
+    # a special shear keeps the end blocks and det = 1 but breaks unitarity
+    bent = g @ LoopMatrix.from_constant(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+    assert end_blocks(bent) == (2, 2) and defect_l1(bent) > 1e-6
     bf = birkhoff(bent, 24)
     assert bf.route == "dense"
     assert bf.rcond == dense_reference(bent, 24)[0]
-    # non-unitary and singular in the limit: 1 - 2z vanishes inside the disk
-    lower = LoopMatrix.diagonal(LaurentSeries(0, (1.0, -2.0)), LaurentSeries.one())
+    # special, non-unitary and singular: T(z^-1) kills the constant
+    lower = LoopMatrix.diagonal(LaurentSeries.monomial(1, 2.0), LaurentSeries.monomial(-1, 0.5))
     assert _structured_corner(lower, 48) is not None
     with pytest.raises(NotInvertible):
         birkhoff(lower, 48)
+
+
+def test_birkhoff_refuses_loops_that_are_not_special():
+    g = partial_product(RootParams("zeta", (0.3, 0.2)))
+    cases = [
+        # det off by 2.8e-7
+        LoopMatrix(g.a, g.b + LaurentSeries.monomial(1, 1e-6), g.c, g.d),
+        LoopMatrix.diagonal(LaurentSeries(0, (1.0, -2.0)), LaurentSeries.one()),
+        # unitary, with det e^{0.8i}
+        partial_product(RootParams("zeta", (0.3, 0.2j, 0.1))).scale(np.exp(0.4j)),
+    ]
+    for loop in cases:
+        with pytest.raises(BadNormalization, match="not special"):
+            birkhoff(loop, 24)
+        with pytest.raises(BadNormalization, match="not special"):
+            triangular(loop, 24)
+
+
+def test_birkhoff_inverts_no_series(monkeypatch):
+    calls = []
+    invert = laurent.invert_series
+
+    def counting(*args):
+        calls.append(args)
+        return invert(*args)
+
+    for module in (laurent, toeplitz):
+        monkeypatch.setattr(module, "invert_series", counting, raising=False)
+    g = partial_product(RootParams("zeta", (0.3, 0.2j, 0.1)))
+    bf = birkhoff(g, 24)
+    assert not calls and birkhoff_residual(g, 24, bf) < 1e-12
+
+
+@given(
+    st.sampled_from(("zeta", "eta")),
+    st.lists(root_value, min_size=1, max_size=6),
+    st.floats(-2.0, 2.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_birkhoff_of_special_loops_is_normalized(side, values, t):
+    # a zeta or eta product times the special, non-unitary shear [[1, t], [0, 1]]
+    shear = LoopMatrix.from_constant(np.array([[1.0, t], [0.0, 1.0]]))
+    g = partial_product(RootParams(side, tuple(values))) @ shear
+    lo, hi = end_blocks(g)
+    N = lo + hi + 16
+    bf = birkhoff(g, N)
+    assert birkhoff_residual(g, N, bf) < 1e-10
+    assert np.max(np.abs(fourier_block(bf.g_plus, 0) - np.eye(2))) < 1e-12
+    assert abs(np.linalg.det(bf.g_zero) - 1.0) < 1e-12
 
 
 def test_rcond_inside_the_band_goes_dense():
